@@ -18,7 +18,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .norms import (
     DEFAULT_SEED,
     DEFAULT_SWEEPS,
     doi_s1_norm,
-    gamma2,
     norm_estimate_to_json,
     recover_factorization,
     s1_bilinear_norm_lower,
@@ -47,25 +45,10 @@ from .norms import (
 )
 from .opint import doi_apply, doi_via_toi, moi_apply, toi_apply
 from .sdp import GAP_TOL, solve_gamma2_sdp
-from .symbols import SymbolGrid, grid_from_json, grid_to_json, sup_norm
+from .symbols import SymbolGrid, grid_from_json, sup_norm
 from .linalg import NORMALITY_TOL
 
 _VERIFY_DIM_CAP = 4
-
-
-@dataclass
-class RunReport:
-    """What one CLI invocation did, in wire form."""
-
-    command: str
-    inputs: dict
-    outputs: dict
-    timings: dict
-    seed: int | None
-    tool_version: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,27 +116,6 @@ def _operator_to_json(op: NormalOperator) -> dict:
     }
 
 
-def _emit(report: RunReport, args, csv_rows=None, csv_header=None) -> None:
-    if getattr(args, "format", "json") == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        text = buffer.getvalue()
-    else:
-        text = json.dumps(report.to_json(), indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _digests(paths: dict) -> dict:
-    return {label: _sha256(path) for label, path in paths.items() if path}
-
-
 def _rel_gap(upper: float, lower: float) -> float:
     return abs(upper - lower) / max(abs(upper), 1e-12)
 
@@ -177,39 +139,19 @@ def _random_grid(rng, dims, complex_entries: bool) -> SymbolGrid:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each loads its inputs, computes, and returns (outputs, passed)
 
 
 def cmd_eig(args):
-    t0 = time.perf_counter()
-    inputs = _digests({"matrix": args.matrix})
     mat = _load_matrix(args.matrix)
     try:
         op = normal_eig(mat, normality_tol=args.tol)
     except NotNormal as exc:
-        report = RunReport(
-            command="eig",
-            inputs=inputs,
-            outputs={"error": "NotNormal", "message": str(exc)},
-            timings={"total": time.perf_counter() - t0},
-            seed=None,
-            tool_version=__version__,
-        )
-        return report, 2, None, None
-    report = RunReport(
-        command="eig",
-        inputs=inputs,
-        outputs=_operator_to_json(op),
-        timings={"total": time.perf_counter() - t0},
-        seed=None,
-        tool_version=__version__,
-    )
-    return report, 0, None, None
+        return {"error": "NotNormal", "message": str(exc)}, False
+    return _operator_to_json(op), True
 
 
 def cmd_doi(args):
-    t0 = time.perf_counter()
-    inputs = _digests({"op_a": args.op_a, "op_b": args.op_b, "grid": args.grid, "x": args.x})
     op_a = _load_operator(args.op_a)
     op_b = _load_operator(args.op_b)
     psi = _load_grid(args.grid)
@@ -217,33 +159,15 @@ def cmd_doi(args):
     result = doi_apply(op_a, op_b, psi, x)
     bound = sup_norm(psi) * schatten_norm(x, 2)
     out_norm = schatten_norm(result, 2)
-    report = RunReport(
-        command="doi",
-        inputs=inputs,
-        outputs={
-            "result": matrix_to_json(result),
-            "result_s2": out_norm,
-            "bound_ok": bool(out_norm <= bound + 1e-10),
-        },
-        timings={"total": time.perf_counter() - t0},
-        seed=None,
-        tool_version=__version__,
-    )
-    return report, 0 if out_norm <= bound + 1e-10 else 2, None, None
+    bound_ok = bool(out_norm <= bound + 1e-10)
+    return {
+        "result": matrix_to_json(result),
+        "result_s2": out_norm,
+        "bound_ok": bound_ok,
+    }, bound_ok
 
 
 def cmd_toi(args):
-    t0 = time.perf_counter()
-    inputs = _digests(
-        {
-            "op_a": args.op_a,
-            "op_b": args.op_b,
-            "op_c": args.op_c,
-            "grid": args.grid,
-            "x": args.x,
-            "y": args.y,
-        }
-    )
     op_a = _load_operator(args.op_a)
     op_b = _load_operator(args.op_b)
     op_c = _load_operator(args.op_c)
@@ -254,48 +178,23 @@ def cmd_toi(args):
     bound = sup_norm(phi) * schatten_norm(x, 2) * schatten_norm(y, 2)
     out_norm = schatten_norm(result, 2)
     bound_ok = bool(out_norm <= bound + 1e-10)
-    report = RunReport(
-        command="toi",
-        inputs=inputs,
-        outputs={
-            "result": matrix_to_json(result),
-            "result_s2": out_norm,
-            "contraction_bound": bound,
-            "bound_ok": bound_ok,
-        },
-        timings={"total": time.perf_counter() - t0},
-        seed=None,
-        tool_version=__version__,
-    )
-    return report, 0 if bound_ok else 2, None, None
+    return {
+        "result": matrix_to_json(result),
+        "result_s2": out_norm,
+        "contraction_bound": bound,
+        "bound_ok": bound_ok,
+    }, bound_ok
 
 
 def cmd_moi(args):
-    t0 = time.perf_counter()
-    paths = {f"op_{m}": p for m, p in enumerate(args.op)}
-    paths.update({f"arg_{m}": p for m, p in enumerate(args.arg)})
-    paths["grid"] = args.grid
-    inputs = _digests(paths)
     ops = [_load_operator(p) for p in args.op]
     grid = _load_grid(args.grid)
     mats = [_load_matrix(p) for p in args.arg]
     result = moi_apply(ops, grid, mats)
-    report = RunReport(
-        command="moi",
-        inputs=inputs,
-        outputs={"result": matrix_to_json(result), "result_s2": schatten_norm(result, 2)},
-        timings={"total": time.perf_counter() - t0},
-        seed=None,
-        tool_version=__version__,
-    )
-    return report, 0, None, None
+    return {"result": matrix_to_json(result), "result_s2": schatten_norm(result, 2)}, True
 
 
 def cmd_norm_s2(args):
-    t0 = time.perf_counter()
-    inputs = _digests(
-        {"op_a": args.op_a, "op_b": args.op_b, "op_c": args.op_c, "grid": args.grid}
-    )
     op_a = _load_operator(args.op_a)
     op_b = _load_operator(args.op_b)
     op_c = _load_operator(args.op_c)
@@ -304,26 +203,14 @@ def cmd_norm_s2(args):
     achieved = schatten_norm(
         toi_apply(op_a, op_b, op_c, phi, est.witness["X"], est.witness["Y"]), 2
     )
-    report = RunReport(
-        command="norm-s2",
-        inputs=inputs,
-        outputs={
-            "estimate": norm_estimate_to_json(est),
-            "witness_value": achieved,
-            "witness_residual": abs(achieved - est.value),
-        },
-        timings={"total": time.perf_counter() - t0},
-        seed=None,
-        tool_version=__version__,
-    )
-    return report, 0, None, None
+    return {
+        "estimate": norm_estimate_to_json(est),
+        "witness_value": achieved,
+        "witness_residual": abs(achieved - est.value),
+    }, True
 
 
 def cmd_norm_s1(args):
-    t0 = time.perf_counter()
-    inputs = _digests(
-        {"op_a": args.op_a, "op_b": args.op_b, "op_c": args.op_c, "grid": args.grid}
-    )
     op_a = _load_operator(args.op_a)
     op_b = _load_operator(args.op_b)
     op_c = _load_operator(args.op_c)
@@ -338,56 +225,34 @@ def cmd_norm_s1(args):
             est.witness["Z"],
         )
     )
-    report = RunReport(
-        command="norm-s1",
-        inputs=inputs,
-        outputs={
-            "estimate": norm_estimate_to_json(est),
-            "witness_value": reeval,
-            "witness_residual": abs(reeval - est.value) / max(est.value, 1e-12),
-        },
-        timings={"total": time.perf_counter() - t0},
-        seed=args.seed,
-        tool_version=__version__,
-    )
-    return report, 0, None, None
+    return {
+        "estimate": norm_estimate_to_json(est),
+        "witness_value": reeval,
+        "witness_residual": abs(reeval - est.value) / max(est.value, 1e-12),
+    }, True
 
 
 def cmd_gamma2(args):
-    t0 = time.perf_counter()
-    inputs = _digests({"matrix": args.matrix})
     mat = _load_matrix(args.matrix)
     sol = solve_gamma2_sdp(mat, gap_tol=args.tol)
     p, q = mat.shape
     evals = np.linalg.eigvalsh((sol.gram + sol.gram.conj().T) / 2.0)
     diag = np.diag(sol.gram).real
-    report = RunReport(
-        command="gamma2",
-        inputs=inputs,
-        outputs={
-            "value": sol.value,
-            "duality_gap": sol.duality_gap,
-            "iterations": sol.iterations,
-            "status": sol.status,
-            "gram": matrix_to_json(sol.gram),
-            "feasibility": {
-                "min_eigenvalue": float(evals[0]),
-                "diag_excess": float(max(0.0, np.max(diag) - sol.value)),
-                "data_block_residual": float(
-                    np.linalg.norm(sol.gram[:p, p:] - mat)
-                ),
-            },
+    return {
+        "value": sol.value,
+        "duality_gap": sol.duality_gap,
+        "iterations": sol.iterations,
+        "status": sol.status,
+        "gram": matrix_to_json(sol.gram),
+        "feasibility": {
+            "min_eigenvalue": float(evals[0]),
+            "diag_excess": float(max(0.0, np.max(diag) - sol.value)),
+            "data_block_residual": float(np.linalg.norm(sol.gram[:p, p:] - mat)),
         },
-        timings={"total": time.perf_counter() - t0},
-        seed=None,
-        tool_version=__version__,
-    )
-    return report, 0 if sol.status == "Optimal" else 2, None, None
+    }, sol.status == "Optimal"
 
 
 def cmd_factor(args):
-    t0 = time.perf_counter()
-    inputs = _digests({"matrix": args.matrix})
     mat = _load_matrix(args.matrix)
     p, q = mat.shape
     sol = solve_gamma2_sdp(mat, gap_tol=args.tol)
@@ -395,27 +260,18 @@ def cmd_factor(args):
     recon = pair.reconstruct()
     scale = max(float(np.linalg.norm(mat)), 1e-300)
     residual = float(np.linalg.norm(recon - mat)) / scale
-    ok = sol.status == "Optimal" and residual <= 1e-6
-    report = RunReport(
-        command="factor",
-        inputs=inputs,
-        outputs={
-            "value": sol.value,
-            "duality_gap": sol.duality_gap,
-            "status": sol.status,
-            "hilbert_dim": pair.hilbert_dim,
-            "norm_a": pair.norm_a,
-            "norm_b": pair.norm_b,
-            "norm_product": pair.norm_a * pair.norm_b,
-            "reconstruction_residual": residual,
-            "a": matrix_to_json(pair.a),
-            "b": matrix_to_json(pair.b),
-        },
-        timings={"total": time.perf_counter() - t0},
-        seed=None,
-        tool_version=__version__,
-    )
-    return report, 0 if ok else 2, None, None
+    return {
+        "value": sol.value,
+        "duality_gap": sol.duality_gap,
+        "status": sol.status,
+        "hilbert_dim": pair.hilbert_dim,
+        "norm_a": pair.norm_a,
+        "norm_b": pair.norm_b,
+        "norm_product": pair.norm_a * pair.norm_b,
+        "reconstruction_residual": residual,
+        "a": matrix_to_json(pair.a),
+        "b": matrix_to_json(pair.b),
+    }, sol.status == "Optimal" and residual <= 1e-6
 
 
 def run_verify_main(
@@ -479,7 +335,6 @@ def run_verify_main(
 
 
 def cmd_verify_main(args):
-    t0 = time.perf_counter()
     dims = tuple(int(part) for part in args.dims.split(","))
     outcome = run_verify_main(
         dims,
@@ -488,21 +343,9 @@ def cmd_verify_main(args):
         seed=args.seed,
         tol=args.tol,
         complex_entries=args.complex,
+        max_iter=args.max_iter,
     )
-    report = RunReport(
-        command="verify-main",
-        inputs={},
-        outputs=outcome,
-        timings={"total": time.perf_counter() - t0, **outcome.pop("timings")},
-        seed=args.seed,
-        tool_version=__version__,
-    )
-    rows = [
-        (row["trial"], row["lower"], row["upper"], row["rel_gap"])
-        for row in outcome["results"]
-    ]
-    code = 0 if outcome["passed"] else 2
-    return report, code, rows, ("trial", "lower", "upper", "rel_gap")
+    return outcome, outcome["passed"]
 
 
 def run_example_ex1(n: int, seed: int = DEFAULT_SEED) -> dict:
@@ -583,25 +426,12 @@ def run_example_ex2(n: int, seed: int = DEFAULT_SEED, growth_sizes=(2, 4, 8, 16)
 
 
 def cmd_examples(args):
-    t0 = time.perf_counter()
-    if args.which == "ex1":
-        outcome = run_example_ex1(args.n, seed=args.seed)
-    else:
-        outcome = run_example_ex2(args.n, seed=args.seed)
-    report = RunReport(
-        command=f"examples {args.which}",
-        inputs={},
-        outputs=outcome,
-        timings={"total": time.perf_counter() - t0},
-        seed=args.seed,
-        tool_version=__version__,
-    )
-    return report, 0 if outcome["passed"] else 2, None, None
+    run = run_example_ex1 if args.which == "ex1" else run_example_ex2
+    outcome = run(args.n, seed=args.seed)
+    return outcome, outcome["passed"]
 
 
 def cmd_peller(args):
-    t0 = time.perf_counter()
-    inputs = _digests({"op_a": args.op_a, "op_b": args.op_b, "grid": args.grid})
     op_a = _load_operator(args.op_a)
     op_b = _load_operator(args.op_b)
     psi = _load_grid(args.grid)
@@ -611,8 +441,7 @@ def cmd_peller(args):
     upper = est.upper_certificate
     gap = _rel_gap(upper, est.value)
 
-    sol = solve_gamma2_sdp(psi.values)
-    pair = recover_factorization(sol.gram, op_a.dim, op_b.dim)
+    pair = recover_factorization(est.witness["gram"], op_a.dim, op_b.dim)
     recon = pair.reconstruct()
     scale = max(float(np.linalg.norm(psi.values)), 1e-300)
     recon_residual = float(np.linalg.norm(recon - psi.values)) / scale
@@ -627,34 +456,37 @@ def cmd_peller(args):
         float(np.linalg.norm(direct)), 1e-300
     )
 
-    passed = (
+    passed = bool(
         gap <= args.tol
         and recon_residual <= 1e-5
         and reduction_residual <= 1e-11
-        and pair.norm_a * pair.norm_b <= sol.value + 1e-5
+        and pair.norm_a * pair.norm_b <= upper + 1e-5
     )
-    report = RunReport(
-        command="peller",
-        inputs=inputs,
-        outputs={
-            "lower": est.value,
-            "upper": upper,
-            "rel_gap": gap,
-            "converged": est.converged,
-            "factor_norm_product": pair.norm_a * pair.norm_b,
-            "factor_residual": recon_residual,
-            "reduction_residual": reduction_residual,
-            "passed": bool(passed),
-        },
-        timings={"total": time.perf_counter() - t0},
-        seed=args.seed,
-        tool_version=__version__,
-    )
-    return report, 0 if passed else 2, None, None
+    return {
+        "lower": est.value,
+        "upper": upper,
+        "rel_gap": gap,
+        "converged": est.converged,
+        "factor_norm_product": pair.norm_a * pair.norm_b,
+        "factor_residual": recon_residual,
+        "reduction_residual": reduction_residual,
+        "passed": passed,
+    }, passed
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and the shared report path
+
+
+def _input_paths(args):
+    """(label, path) per declared input file; repeated flags get _0, _1, ..."""
+    for spec in args.files:
+        dest = spec.strip("-*").replace("-", "_")
+        value = getattr(args, dest)
+        if isinstance(value, list):
+            yield from ((f"{dest}_{m}", path) for m, path in enumerate(value))
+        else:
+            yield dest, value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -662,12 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"opintlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=False, restarts=False, tol=None):
+    def add(name, func, help, files=(), seed=False, restarts=False, tol=None):
+        """One subcommand.  ``files`` names its input files, in report order:
+        a bare name is positional, ``--flag`` is required, and ``--flag*``
+        is required and repeatable."""
+        p = sub.add_parser(name, help=help)
+        for spec in files:
+            flag = spec.rstrip("*")
+            if not flag.startswith("--"):
+                p.add_argument(flag)
+            elif spec.endswith("*"):
+                p.add_argument(flag, action="append", required=True, help="repeatable")
+            else:
+                p.add_argument(flag, required=True)
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json",
-            help="report format (csv only for verify-main)",
-        )
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if restarts:
@@ -675,75 +515,71 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-iter", type=int, default=DEFAULT_SWEEPS)
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol)
+        p.set_defaults(func=func, files=files)
+        return p
 
-    p = sub.add_parser("eig", help="spectral data of a normal matrix")
-    p.add_argument("matrix")
-    add_common(p, tol=NORMALITY_TOL)
-    p.set_defaults(func=cmd_eig)
+    grid2 = ("--op-a", "--op-b", "--grid")
+    grid3 = ("--op-a", "--op-b", "--op-c", "--grid")
+    add("eig", cmd_eig, "spectral data of a normal matrix", ("matrix",), tol=NORMALITY_TOL)
+    add("doi", cmd_doi, "apply a two-operator integral", grid2 + ("--x",))
+    add("toi", cmd_toi, "apply a three-operator integral", grid3 + ("--x", "--y"))
+    add("moi", cmd_moi, "apply an n-operator integral", ("--op*", "--arg*", "--grid"))
+    add("norm-s2", cmd_norm_s2, "exact Hilbert-Schmidt bilinear norm", grid3)
+    add("norm-s1", cmd_norm_s1, "trace-norm-output lower bound by ascent", grid3,
+        seed=True, restarts=True)
+    add("gamma2", cmd_gamma2, "factorization norm of a matrix", ("matrix",), tol=GAP_TOL)
+    add("factor", cmd_factor, "factorization norm with recovered vectors", ("matrix",),
+        tol=GAP_TOL)
 
-    p = sub.add_parser("doi", help="apply a two-operator integral")
-    for flag in ("--op-a", "--op-b", "--grid", "--x"):
-        p.add_argument(flag, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_doi)
-
-    p = sub.add_parser("toi", help="apply a three-operator integral")
-    for flag in ("--op-a", "--op-b", "--op-c", "--grid", "--x", "--y"):
-        p.add_argument(flag, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_toi)
-
-    p = sub.add_parser("moi", help="apply an n-operator integral")
-    p.add_argument("--op", action="append", required=True, help="repeat per operator")
-    p.add_argument("--arg", action="append", required=True, help="repeat per argument")
-    p.add_argument("--grid", required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_moi)
-
-    p = sub.add_parser("norm-s2", help="exact Hilbert-Schmidt bilinear norm")
-    for flag in ("--op-a", "--op-b", "--op-c", "--grid"):
-        p.add_argument(flag, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_norm_s2)
-
-    p = sub.add_parser("norm-s1", help="trace-norm-output lower bound by ascent")
-    for flag in ("--op-a", "--op-b", "--op-c", "--grid"):
-        p.add_argument(flag, required=True)
-    add_common(p, seed=True, restarts=True)
-    p.set_defaults(func=cmd_norm_s1)
-
-    p = sub.add_parser("gamma2", help="factorization norm of a matrix")
-    p.add_argument("matrix")
-    add_common(p, tol=GAP_TOL)
-    p.set_defaults(func=cmd_gamma2)
-
-    p = sub.add_parser("factor", help="factorization norm with recovered vectors")
-    p.add_argument("matrix")
-    add_common(p, tol=GAP_TOL)
-    p.set_defaults(func=cmd_factor)
-
-    p = sub.add_parser(
-        "verify-main", help="lower/upper agreement for the trilinear trace norm"
-    )
+    p = add("verify-main", cmd_verify_main,
+            "lower/upper agreement for the trilinear trace norm",
+            seed=True, restarts=True, tol=AGREEMENT_TOL)
     p.add_argument("--dims", default="2,2,2", help="comma-separated dimensions")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--complex", action="store_true", help="complex unit-disk entries")
-    add_common(p, seed=True, restarts=True, tol=AGREEMENT_TOL)
-    p.set_defaults(func=cmd_verify_main)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="report format; csv writes the trial table")
 
-    p = sub.add_parser("examples", help="built-in worked examples")
+    p = add("examples", cmd_examples, "built-in worked examples", seed=True)
     p.add_argument("which", choices=("ex1", "ex2"))
     p.add_argument("--n", type=int, default=3)
-    add_common(p, seed=True)
-    p.set_defaults(func=cmd_examples)
 
-    p = sub.add_parser("peller", help="trace-to-trace sandwich for one symbol")
-    for flag in ("--op-a", "--op-b", "--grid"):
-        p.add_argument(flag, required=True)
-    add_common(p, seed=True, restarts=True, tol=AGREEMENT_TOL)
-    p.set_defaults(func=cmd_peller)
-
+    add("peller", cmd_peller, "trace-to-trace sandwich for one symbol", grid2,
+        seed=True, restarts=True, tol=AGREEMENT_TOL)
     return parser
+
+
+def _run(args) -> int:
+    """Run one parsed subcommand, write its report, and return the exit code."""
+    t0 = time.perf_counter()
+    inputs = {label: _sha256(path) for label, path in _input_paths(args)}
+    outputs, passed = args.func(args)
+    timings = {"total": time.perf_counter() - t0, **outputs.pop("timings", {})}
+    if getattr(args, "format", "json") == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        writer.writerow(("trial", "lower", "upper", "rel_gap"))
+        writer.writerows(
+            (row["trial"], row["lower"], row["upper"], row["rel_gap"])
+            for row in outputs["results"]
+        )
+        text = buffer.getvalue()
+    else:
+        report = {
+            "command": f"examples {args.which}" if args.command == "examples" else args.command,
+            "inputs": inputs,
+            "outputs": outputs,
+            "timings": timings,
+            "seed": getattr(args, "seed", None),
+            "tool_version": __version__,
+        }
+        text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if passed else 2
 
 
 def main(argv=None) -> int:
@@ -752,22 +588,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "format", "json") == "csv" and args.command != "verify-main":
-        sys.stderr.write("opintlab: error: --format csv is only available for verify-main\n")
-        return 1
     try:
-        report, code, rows, header = args.func(args)
-    except (ParseError, BudgetExceeded) as exc:
-        sys.stderr.write(f"opintlab: error: {exc}\n")
-        return 1
+        return _run(args)
     except NotNormal as exc:
         sys.stderr.write(f"opintlab: error: {exc}\n")
         return 2
-    except OpintError as exc:
+    except (OpintError, ValueError) as exc:
         sys.stderr.write(f"opintlab: error: {exc}\n")
         return 1
-    except ValueError as exc:
-        sys.stderr.write(f"opintlab: error: {exc}\n")
-        return 1
-    _emit(report, args, csv_rows=rows, csv_header=header)
-    return code

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import NotPsd, ShapeMismatch
 from .linalg import NormalOperator, as_matrix
-from .sdp import GAP_TOL, MAX_ITER, SdpSolution, solve_gamma2_sdp
+from .opint import check_grid_ops
+from .sdp import GAP_TOL, MAX_ITER, solve_gamma2_sdp
 from .symbols import SymbolGrid, middle_slices, sup_norm
 
 DEFAULT_RESTARTS = 64
@@ -91,25 +92,6 @@ class FactorizationPair:
         raise ShapeMismatch(f"unsupported vector family rank {self.a.ndim}")
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("OPINT_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    items = list(items)
-    cap = min(_thread_cap(), len(items))
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
 def s2s2_to_s2_norm(
     op_a: NormalOperator,
     op_b: NormalOperator,
@@ -122,7 +104,7 @@ def s2s2_to_s2_norm(
     norm equals the sup norm of the grid exactly, attained on a rank-one pair
     built from the eigenbasis columns at the largest grid entry.
     """
-    _check_grid_ops(phi, (op_a, op_b, op_c))
+    check_grid_ops(phi, (op_a, op_b, op_c))
     value = sup_norm(phi)
     i, k, j = np.unravel_index(int(np.argmax(np.abs(phi.values))), phi.shape)
     col_a = op_a.eigenbasis[:, i]
@@ -137,24 +119,6 @@ def s2s2_to_s2_norm(
         restarts_used=0,
         converged=True,
     )
-
-
-def _check_grid_ops(grid: SymbolGrid, ops) -> None:
-    if grid.order != len(ops):
-        raise ShapeMismatch(
-            f"grid order {grid.order} does not match {len(ops)} operators"
-        )
-    for slot, op in enumerate(ops):
-        axis = grid.axes[slot]
-        if axis.size != op.dim:
-            raise ShapeMismatch(
-                f"grid axis {slot} has length {axis.size}, operator dim {op.dim}"
-            )
-        tol = 1e-12 * (1.0 + np.max(np.abs(op.eigenvalues)))
-        if not np.allclose(axis, op.eigenvalues, rtol=0.0, atol=tol):
-            raise ShapeMismatch(
-                f"grid axis {slot} does not match the operator's eigenvalue list"
-            )
 
 
 def _unit_gaussians(rng, shape) -> np.ndarray:
@@ -240,7 +204,7 @@ def s1_bilinear_norm_lower(
     independently seeded starts.  The reported value is always a valid lower
     bound; pair it with :func:`trilinear_factor_norm` for the upper side.
     """
-    _check_grid_ops(phi, (op_a, op_b, op_c))
+    check_grid_ops(phi, (op_a, op_b, op_c))
     if restarts < 1:
         raise ValueError("need at least one restart")
     xr, yr, zr, value, settled = _ascent_trilinear(
@@ -316,7 +280,8 @@ def trilinear_factor_norm(
             return None
         return solve_gamma2_sdp(mat, gap_tol=gap_tol, max_iter=max_iter)
 
-    sols = _map_ordered(solve_slice, slices)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        sols = list(pool.map(solve_slice, slices))
     slice_values = np.array(
         [0.0 if sol is None else sol.value for sol in sols], dtype=float
     )
@@ -348,37 +313,6 @@ def trilinear_factor_norm(
     return estimate, FactorizationPair(a=fam_a, b=fam_b)
 
 
-def _ascent_bilinear(values: np.ndarray, restarts: int, max_iter: int, seed: int):
-    """Trace-to-trace ascent over rank-one arguments u v* for order-2 grids."""
-    da, db = values.shape
-    us = np.stack(
-        [_unit_gaussians(np.random.default_rng(seed ^ r), (da,)) for r in range(restarts)]
-    )
-    vs = np.stack(
-        [_unit_gaussians(np.random.default_rng((seed ^ r) + 1), (db,)) for r in range(restarts)]
-    )
-    vals = np.zeros(restarts)
-    settled = np.zeros(restarts, dtype=bool)
-    for _ in range(max_iter):
-        t = values[None, :, :] * us[:, :, None] * vs.conj()[:, None, :]
-        z, _ = _polar_batch(t)
-        wu = np.einsum("ij,rj,rji->ri", values, vs.conj(), z)
-        us, _, _ = _renormalize(wu.conj(), us)
-        # v enters the objective conjugated, so its maximizer is wv itself.
-        wv = np.einsum("ij,ri,rji->rj", values, us, z)
-        vs, new_vals, ok = _renormalize(wv, vs)
-        new_vals = np.where(ok, new_vals, vals)
-        gain = new_vals - vals
-        settled = gain <= _SWEEP_TOL * np.maximum(1.0, new_vals)
-        vals = new_vals
-        if settled.all():
-            break
-    t = values[None, :, :] * us[:, :, None] * vs.conj()[:, None, :]
-    z, final_vals = _polar_batch(t)
-    best = int(np.argmax(final_vals))
-    return us[best], vs[best], z[best], float(final_vals[best]), bool(settled[best])
-
-
 def doi_s1_norm(
     op_a: NormalOperator,
     op_b: NormalOperator,
@@ -391,27 +325,31 @@ def doi_s1_norm(
     """Trace-to-trace norm of the two-operator transform, sandwiched.
 
     The lower bound searches over rank-one arguments (the extreme points of
-    the trace-norm ball); the upper certificate is the factorization norm of
-    the grid, and the two agree up to solver gap plus ascent optimality.
+    the trace-norm ball): it is the trilinear ascent on the grid with a
+    middle axis of length one, whose column X and row Y are u and v* of the
+    rank-one argument u v*.  The upper certificate is the factorization norm of the grid, whose Gram
+    matrix is returned as ``witness["gram"]``; the two agree up to solver gap
+    plus ascent optimality.
     """
-    _check_grid_ops(psi, (op_a, op_b))
+    check_grid_ops(psi, (op_a, op_b))
     if restarts < 1:
         raise ValueError("need at least one restart")
-    ur, vr, zr, value, settled = _ascent_bilinear(
-        psi.values, restarts, max_iter, seed
+    xr, yr, zr, value, settled = _ascent_trilinear(
+        psi.values[:, None, :], restarts, max_iter, seed
     )
-    upper = solve_gamma2_sdp(psi.values, gap_tol=gap_tol).value
+    sol = solve_gamma2_sdp(psi.values, gap_tol=gap_tol)
     ua, ub = op_a.eigenbasis, op_b.eigenbasis
-    u_full = ua @ ur
-    v_full = ub @ vr
+    u_full = ua @ xr[:, 0]
+    v_full = ub @ yr[0].conj()
     witness = {
         "X": np.outer(u_full, v_full.conj()),
         "Z": ub @ zr @ ua.conj().T,
+        "gram": sol.gram,
     }
     return NormEstimate(
         value=value,
         witness=witness,
-        upper_certificate=float(upper),
+        upper_certificate=float(sol.value),
         restarts_used=restarts,
         converged=settled,
     )

@@ -23,17 +23,23 @@ MAX_ORDER = 6
 _AXIS_LETTERS = "abcdefg"
 
 
-def _check_axis(grid: SymbolGrid, slot: int, op: NormalOperator) -> None:
-    axis = grid.axes[slot]
-    if axis.size != op.dim:
+def check_grid_ops(grid: SymbolGrid, ops) -> None:
+    """Require one grid axis per operator, each equal to its eigenvalue list."""
+    if grid.order != len(ops):
         raise ShapeMismatch(
-            f"grid axis {slot} has length {axis.size}, operator has dimension {op.dim}"
+            f"grid order {grid.order} does not match {len(ops)} operators"
         )
-    tol = 1e-12 * (1.0 + np.max(np.abs(op.eigenvalues)))
-    if not np.allclose(axis, op.eigenvalues, rtol=0.0, atol=tol):
-        raise ShapeMismatch(
-            f"grid axis {slot} does not match the operator's eigenvalue list"
-        )
+    for slot, op in enumerate(ops):
+        axis = grid.axes[slot]
+        if axis.size != op.dim:
+            raise ShapeMismatch(
+                f"grid axis {slot} has length {axis.size}, operator has dimension {op.dim}"
+            )
+        tol = 1e-12 * (1.0 + np.max(np.abs(op.eigenvalues)))
+        if not np.allclose(axis, op.eigenvalues, rtol=0.0, atol=tol):
+            raise ShapeMismatch(
+                f"grid axis {slot} does not match the operator's eigenvalue list"
+            )
 
 
 def _check_arg(x: np.ndarray, rows: int, cols: int, name: str) -> None:
@@ -54,10 +60,7 @@ def apply_function(op: NormalOperator, values) -> np.ndarray:
 
 def doi_apply(op_a: NormalOperator, op_b: NormalOperator, psi: SymbolGrid, x) -> np.ndarray:
     """Double operator integral: Schur multiplication in the rotated bases."""
-    if psi.order != 2:
-        raise ShapeMismatch(f"need an order-2 grid, got order {psi.order}")
-    _check_axis(psi, 0, op_a)
-    _check_axis(psi, 1, op_b)
+    check_grid_ops(psi, (op_a, op_b))
     xm = as_matrix(x)
     _check_arg(xm, op_a.dim, op_b.dim, "argument")
     ua, ub = op_a.eigenbasis, op_b.eigenbasis
@@ -74,11 +77,7 @@ def toi_apply(
     y,
 ) -> np.ndarray:
     """Triple operator integral of an order-3 symbol against two arguments."""
-    if phi.order != 3:
-        raise ShapeMismatch(f"need an order-3 grid, got order {phi.order}")
-    _check_axis(phi, 0, op_a)
-    _check_axis(phi, 1, op_b)
-    _check_axis(phi, 2, op_c)
+    check_grid_ops(phi, (op_a, op_b, op_c))
     xm = as_matrix(x)
     ym = as_matrix(y)
     _check_arg(xm, op_a.dim, op_b.dim, "first argument")
@@ -101,14 +100,11 @@ def moi_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     ops = list(ops)
     args = [as_matrix(a) for a in args]
     n = len(ops)
-    if n != grid.order or len(args) != n - 1:
-        raise ShapeMismatch(
-            f"got {n} operators, {len(args)} arguments, grid order {grid.order}"
-        )
+    if len(args) != n - 1:
+        raise ShapeMismatch(f"got {n} operators but {len(args)} arguments")
     if n < 2 or n > MAX_ORDER:
         raise OrderTooLarge(f"order {n} outside the supported range [2, {MAX_ORDER}]")
-    for slot, op in enumerate(ops):
-        _check_axis(grid, slot, op)
+    check_grid_ops(grid, ops)
     for m, arg in enumerate(args):
         _check_arg(arg, ops[m].dim, ops[m + 1].dim, f"argument {m}")
     rotated = [

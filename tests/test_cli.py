@@ -11,11 +11,13 @@ import csv
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opintlab import matrix_to_json, grid_to_json, normal_eig, SymbolGrid
+from opintlab import __version__, matrix_to_json, grid_to_json, normal_eig, SymbolGrid
+from opintlab import cli, norms
 from opintlab.cli import main
 
 from conftest import random_normal_matrix
@@ -219,6 +221,13 @@ def test_verify_main_budget_cap(capsys):
     assert code == 1
 
 
+def test_verify_main_passes_max_iter(capsys):
+    argv = ["verify-main", "--dims", "3,2,3", "--trials", "1", "--restarts", "1"]
+    _, full = _run_json(capsys, argv)
+    _, capped = _run_json(capsys, argv + ["--max-iter", "1"])
+    assert capped["outputs"]["results"][0]["lower"] < full["outputs"]["results"][0]["lower"]
+
+
 def test_verify_main_complex_entries(capsys):
     code, doc = _run_json(
         capsys,
@@ -264,6 +273,92 @@ def test_peller_sandwich(tmp_path, capsys):
     assert out["lower"] <= out["upper"] + 1e-9
     assert out["rel_gap"] <= 1e-3
     assert out["passed"] is True
+
+
+def test_peller_solves_the_sdp_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = norms.solve_gamma2_sdp
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "solve_gamma2_sdp", counting_solve)
+    monkeypatch.setattr(cli, "solve_gamma2_sdp", counting_solve)
+    op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [3, 3], seed=9)
+    code, doc = _run_json(
+        capsys,
+        ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1],
+         "--grid", grid_path, "--restarts", "32"],
+    )
+    assert code == 0
+    assert doc["outputs"]["factor_residual"] <= 1e-5
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the report envelope shared by every subcommand
+
+SEEDED = {"norm-s1", "verify-main", "examples ex1", "examples ex2", "peller"}
+
+
+def _envelope_case(tmp_path, command):
+    """argv of one subcommand and the files it declares, keyed by label."""
+    (tmp_path / "two").mkdir()
+    (tmp_path / "three").mkdir()
+    (a, b), psi, _, _ = _normal_ops_and_grid(tmp_path / "two", [2, 2], seed=1)
+    (p, q, r), phi, _, _ = _normal_ops_and_grid(tmp_path / "three", [2, 2, 2], seed=2)
+    x = _matrix_file(tmp_path, "x.json", RNG.standard_normal((2, 2)))
+    y = _matrix_file(tmp_path, "y.json", RNG.standard_normal((2, 2)))
+    s = _matrix_file(tmp_path, "s.json", np.eye(2))
+    three = {"op_a": p, "op_b": q, "op_c": r, "grid": phi}
+    three_argv = ["--op-a", p, "--op-b", q, "--op-c", r, "--grid", phi]
+    cases = {
+        "eig": (["eig", s], {"matrix": s}),
+        "doi": (["doi", "--op-a", a, "--op-b", b, "--grid", psi, "--x", x],
+                {"op_a": a, "op_b": b, "grid": psi, "x": x}),
+        "toi": (["toi", *three_argv, "--x", x, "--y", y], {**three, "x": x, "y": y}),
+        "moi": (["moi", "--op", p, "--op", q, "--op", r, "--grid", phi,
+                 "--arg", x, "--arg", y],
+                {"op_0": p, "op_1": q, "op_2": r, "arg_0": x, "arg_1": y, "grid": phi}),
+        "norm-s2": (["norm-s2", *three_argv], three),
+        "norm-s1": (["norm-s1", *three_argv, "--restarts", "4"], three),
+        "gamma2": (["gamma2", s], {"matrix": s}),
+        "factor": (["factor", s], {"matrix": s}),
+        "verify-main": (["verify-main", "--trials", "1", "--restarts", "8"], {}),
+        "examples ex1": (["examples", "ex1", "--n", "2"], {}),
+        "examples ex2": (["examples", "ex2", "--n", "2"], {}),
+        "peller": (["peller", "--op-a", a, "--op-b", b, "--grid", psi,
+                    "--restarts", "16"], {"op_a": a, "op_b": b, "grid": psi}),
+    }
+    argv, files = cases[command]
+    if command in SEEDED:
+        argv = argv + ["--seed", "3"]
+    return argv, files
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["eig", "doi", "toi", "moi", "norm-s2", "norm-s1", "gamma2", "factor",
+     "verify-main", "examples ex1", "examples ex2", "peller"],
+)
+def test_report_envelope(tmp_path, capsys, command):
+    argv, files = _envelope_case(tmp_path, command)
+    code, doc = _run_json(capsys, argv)
+    assert code == 0
+    assert list(doc) == ["command", "inputs", "outputs", "timings", "seed", "tool_version"]
+    assert doc["command"] == command
+    digests = {
+        label: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        for label, path in files.items()
+    }
+    assert doc["inputs"] == digests
+    assert list(doc["inputs"]) == list(files)
+    assert doc["seed"] == (3 if command in SEEDED else None)
+    extra = ["ascent", "slice_sdp"] if command == "verify-main" else []
+    assert list(doc["timings"]) == ["total", *extra]
+    assert all(value >= 0.0 for value in doc["timings"].values())
+    assert doc["tool_version"] == __version__
 
 
 # ---------------------------------------------------------------------------

@@ -158,20 +158,6 @@ class TestTrilinearFactor:
         assert est.value == 0.0
         np.testing.assert_array_equal(pair.reconstruct(), zeros.values)
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        _, grid = _instance((2, 4, 3), seed=13)
-        monkeypatch.setenv("OPINT_THREADS", "1")
-        serial, _ = trilinear_factor_norm(grid)
-        monkeypatch.setenv("OPINT_THREADS", "2")
-        threaded, _ = trilinear_factor_norm(grid)
-        assert serial.value == threaded.value
-
-    def test_invalid_thread_env_is_tolerated(self, monkeypatch):
-        _, grid = _instance((2, 2, 2), seed=14)
-        monkeypatch.setenv("OPINT_THREADS", "not-a-number")
-        est, _ = trilinear_factor_norm(grid)
-        assert est.value > 0.0
-
 
 # ---------------------------------------------------------------------------
 # two-operator trace-to-trace sandwich

@@ -260,6 +260,19 @@ def test_toi_basis_covariance():
     np.testing.assert_allclose(rotated, want, atol=1e-11 * max(1.0, np.abs(want).max()))
 
 
+def test_transforms_reject_grid_of_wrong_order():
+    op = random_normal_operator(RNG, 2)
+    psi = _random_grid(RNG, [op, op])
+    phi = _random_grid(RNG, [op, op, op])
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ShapeMismatch):
+        doi_apply(op, op, phi, eye)
+    with pytest.raises(ShapeMismatch):
+        toi_apply(op, op, op, psi, eye, eye)
+    with pytest.raises(ShapeMismatch):
+        moi_apply([op, op, op], psi, [eye, eye])
+
+
 def test_toi_rejects_wrong_argument_shape():
     op = random_normal_operator(RNG, 3)
     phi = _random_grid(RNG, [op, op, op])
