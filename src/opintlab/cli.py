@@ -292,6 +292,8 @@ def run_verify_main(
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ValueError(f"need three positive dimensions, got {dims}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if any(d > _VERIFY_DIM_CAP for d in dims):
         raise BudgetExceeded(
             f"dimensions {dims} exceed the default verification budget "
@@ -320,7 +322,7 @@ def run_verify_main(
                 "rel_gap": _rel_gap(upper, lower),
             }
         )
-    max_gap = max(row["rel_gap"] for row in rows) if rows else 0.0
+    max_gap = max(row["rel_gap"] for row in rows)
     return {
         "dims": list(dims),
         "trials": trials,
@@ -593,6 +595,6 @@ def main(argv=None) -> int:
     except NotNormal as exc:
         sys.stderr.write(f"opintlab: error: {exc}\n")
         return 2
-    except (OpintError, ValueError) as exc:
+    except (OpintError, ValueError, OSError) as exc:
         sys.stderr.write(f"opintlab: error: {exc}\n")
         return 1

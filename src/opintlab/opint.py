@@ -2,12 +2,15 @@
 
 Every transform here follows the same recipe: rotate the matrix arguments
 into the eigenbases of the surrounding normal operators, contract them
-against the symbol's value grid, and rotate the result back.  For a single
-operator pair this is an entrywise (Schur) multiplication in the rotated
-bases; for n operators it is a chain contraction
+against the symbol's value grid, and rotate the result back.  One kernel,
+:func:`_chain_apply`, does this for every order: ``doi_apply`` (order 2,
+an entrywise Schur product), ``toi_apply`` (order 3) and ``moi_apply``
+(orders 2 to 6) all call it.  The contraction is the chain
 
     out[i1, in] = sum over i2..i_{n-1} of
-        grid[i1, ..., in] * X1~[i1, i2] * ... * X_{n-1}~[i_{n-1}, in].
+        grid[i1, ..., in] * X1~[i1, i2] * ... * X_{n-1}~[i_{n-1}, in],
+
+evaluated by one plain ``np.einsum`` in a single pass over the grid.
 """
 
 from __future__ import annotations
@@ -58,14 +61,29 @@ def apply_function(op: NormalOperator, values) -> np.ndarray:
     return u @ (vals[:, None] * u.conj().T)
 
 
+def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
+    """Rotate the arguments into the eigenbases, contract, rotate back.
+
+    The einsum runs without ``optimize``, so it walks the grid once and
+    allocates only the rotated arguments and the output, never an
+    intermediate of grid size.
+    """
+    check_grid_ops(grid, ops)
+    for m, arg in enumerate(args):
+        _check_arg(arg, ops[m].dim, ops[m + 1].dim, f"argument {m}")
+    rotated = [
+        ops[m].eigenbasis.conj().T @ arg @ ops[m + 1].eigenbasis
+        for m, arg in enumerate(args)
+    ]
+    letters = _AXIS_LETTERS[: len(ops)]
+    spec = ",".join([letters] + [letters[m : m + 2] for m in range(len(args))])
+    core = np.einsum(f"{spec}->{letters[0]}{letters[-1]}", grid.values, *rotated)
+    return ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
+
+
 def doi_apply(op_a: NormalOperator, op_b: NormalOperator, psi: SymbolGrid, x) -> np.ndarray:
     """Double operator integral: Schur multiplication in the rotated bases."""
-    check_grid_ops(psi, (op_a, op_b))
-    xm = as_matrix(x)
-    _check_arg(xm, op_a.dim, op_b.dim, "argument")
-    ua, ub = op_a.eigenbasis, op_b.eigenbasis
-    xr = ua.conj().T @ xm @ ub
-    return ua @ (psi.values * xr) @ ub.conj().T
+    return _chain_apply((op_a, op_b), psi, [as_matrix(x)])
 
 
 def toi_apply(
@@ -77,16 +95,7 @@ def toi_apply(
     y,
 ) -> np.ndarray:
     """Triple operator integral of an order-3 symbol against two arguments."""
-    check_grid_ops(phi, (op_a, op_b, op_c))
-    xm = as_matrix(x)
-    ym = as_matrix(y)
-    _check_arg(xm, op_a.dim, op_b.dim, "first argument")
-    _check_arg(ym, op_b.dim, op_c.dim, "second argument")
-    ua, ub, uc = op_a.eigenbasis, op_b.eigenbasis, op_c.eigenbasis
-    xr = ua.conj().T @ xm @ ub
-    yr = ub.conj().T @ ym @ uc
-    core = np.einsum("ikj,ik,kj->ij", phi.values, xr, yr)
-    return ua @ core @ uc.conj().T
+    return _chain_apply((op_a, op_b, op_c), phi, [as_matrix(x), as_matrix(y)])
 
 
 def moi_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
@@ -94,8 +103,7 @@ def moi_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
 
     ``ops`` is a sequence of n normal operators, ``args`` a sequence of n-1
     matrices where args[m] maps between the spaces of ops[m+1] and ops[m].
-    The contraction is performed index by index and never materializes
-    anything larger than the grid itself.
+    The contraction allocates only the rotated arguments and the output.
     """
     ops = list(ops)
     args = [as_matrix(a) for a in args]
@@ -104,18 +112,7 @@ def moi_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
         raise ShapeMismatch(f"got {n} operators but {len(args)} arguments")
     if n < 2 or n > MAX_ORDER:
         raise OrderTooLarge(f"order {n} outside the supported range [2, {MAX_ORDER}]")
-    check_grid_ops(grid, ops)
-    for m, arg in enumerate(args):
-        _check_arg(arg, ops[m].dim, ops[m + 1].dim, f"argument {m}")
-    rotated = [
-        ops[m].eigenbasis.conj().T @ args[m] @ ops[m + 1].eigenbasis
-        for m in range(n - 1)
-    ]
-    letters = _AXIS_LETTERS[:n]
-    spec = ",".join([letters] + [letters[m : m + 2] for m in range(n - 1)])
-    spec += "->" + letters[0] + letters[-1]
-    core = np.einsum(spec, grid.values, *rotated, optimize=True)
-    return ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
+    return _chain_apply(ops, grid, args)
 
 
 def separable_apply(ops, terms, args) -> np.ndarray:

@@ -228,6 +228,17 @@ def test_verify_main_passes_max_iter(capsys):
     assert capped["outputs"]["results"][0]["lower"] < full["outputs"]["results"][0]["lower"]
 
 
+def test_run_verify_main_rejects_zero_trials():
+    with pytest.raises(ValueError):
+        cli.run_verify_main((2, 2, 2), trials=0)
+
+
+def test_verify_main_zero_trials_exits_one(capsys):
+    code, out = _run(capsys, ["verify-main", "--dims", "2,2,2", "--trials", "0"])
+    assert code == 1
+    assert out == ""
+
+
 def test_verify_main_complex_entries(capsys):
     code, doc = _run_json(
         capsys,
@@ -387,6 +398,13 @@ def test_malformed_matrix_exits_one(tmp_path, capsys):
 def test_csv_rejected_outside_verify_main(tmp_path, capsys):
     path = _matrix_file(tmp_path, "m.json", np.eye(2))
     assert main(["gamma2", path, "--format", "csv"]) == 1
+
+
+def test_unwritable_out_path_exits_one(tmp_path, capsys):
+    path = _matrix_file(tmp_path, "m.json", np.eye(2))
+    target = tmp_path / "missing" / "report.json"
+    assert main(["eig", path, "--out", str(target)]) == 1
+    assert capsys.readouterr().err.startswith("opintlab: error: ")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

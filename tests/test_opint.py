@@ -12,6 +12,9 @@ Two oracle routes are used throughout:
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -77,6 +80,18 @@ def moi_reference_order4(ops, grid, args):
                     out += vals[i0, i1, i2, i3] * (
                         p0 @ args[0] @ p1 @ args[1] @ p2 @ args[2] @ p3
                     )
+    return out
+
+
+def moi_reference(ops, grid, args):
+    """Nested sum over eigenprojections: sum grid[i0..in] P_i0 X1 P_i1 ... P_in."""
+    out = np.zeros((ops[0].dim, ops[-1].dim), dtype=complex)
+    vals = np.asarray(grid.values)
+    for idx in itertools.product(*(range(op.dim) for op in ops)):
+        term = _projection(ops[0].eigenbasis, idx[0])
+        for m, arg in enumerate(args):
+            term = term @ arg @ _projection(ops[m + 1].eigenbasis, idx[m + 1])
+        out += vals[idx] * term
     return out
 
 
@@ -319,6 +334,45 @@ def test_moi_order_four_matches_projection_sum():
     got = moi_apply(ops, grid, args)
     want = moi_reference_order4(ops, grid, args)
     np.testing.assert_allclose(got, want, atol=1e-11 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (1, 1), (1, 4), (3, 2),
+        (1, 3, 1), (4, 1, 2), (2, 3, 4),
+        (1, 2, 3, 4), (4, 3, 1, 2),
+        (2, 1, 3, 1, 2), (3, 2, 2, 4, 1),
+        (1, 2, 1, 2, 1, 2), (4, 1, 4, 2, 1, 3),
+    ],
+)
+def test_moi_matches_projection_sum_at_every_order(dims):
+    ops = [random_normal_operator(RNG, d) for d in dims]
+    grid = _random_grid(RNG, ops)
+    args = [random_complex(RNG, (dims[m], dims[m + 1])) for m in range(len(dims) - 1)]
+    got = moi_apply(ops, grid, args)
+    want = moi_reference(ops, grid, args)
+    np.testing.assert_allclose(got, want, atol=1e-11 * max(1.0, np.abs(want).max()))
+    if len(dims) == 2:
+        np.testing.assert_array_equal(got, doi_apply(*ops, grid, *args))
+    if len(dims) == 3:
+        np.testing.assert_array_equal(got, toi_apply(*ops, grid, *args))
+
+
+@pytest.mark.parametrize("order, n", [(3, 64), (4, 20)])
+def test_moi_allocates_far_less_than_the_grid(order, n):
+    # The contraction makes one pass over the grid; the only arrays it
+    # allocates are the rotated arguments and the output.
+    ops = [NormalOperator.from_eigensystem(np.arange(n, dtype=float)) for _ in range(order)]
+    grid = _random_grid(RNG, ops)
+    args = [random_complex(RNG, (n, n)) for _ in range(order - 1)]
+    tracemalloc.start()
+    try:
+        moi_apply(ops, grid, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.values.nbytes / 4
 
 
 def test_moi_rejects_order_beyond_cap():
