@@ -268,8 +268,8 @@ def trilinear_factor_norm(
     """Trace-norm-output norm of the order-3 transform, by middle-axis slices.
 
     The norm equals the largest factorization norm among the grid's middle
-    slices.  The returned pair assembles the per-slice factorizations into
-    one family on the orthogonal direct sum of the slice spaces, rebalanced
+    slices.  The returned pair places every slice's factorization in one
+    (n1+n3)-dimensional space, as a(., k) only pairs with b(., k), rebalanced
     so that norm_a * norm_b does not exceed the reported value.
     """
     slices = middle_slices(phi)
@@ -289,18 +289,15 @@ def trilinear_factor_norm(
     value = float(slice_values[best_k])
     converged = all(sol is None or sol.status == "Optimal" for sol in sols)
 
-    block = n1 + n3
-    dim_total = n2 * block
-    fam_a = np.zeros((n1, n2, dim_total), dtype=np.complex128)
-    fam_b = np.zeros((n3, n2, dim_total), dtype=np.complex128)
+    fam_a = np.zeros((n1, n2, n1 + n3), dtype=np.complex128)
+    fam_b = np.zeros((n3, n2, n1 + n3), dtype=np.complex128)
     for k, sol in enumerate(sols):
         if sol is None or value <= 0.0:
             continue
         pair = recover_factorization(sol.gram, n1, n3)
         scale = np.sqrt(value / slice_values[k])
-        off = k * block
-        fam_a[:, k, off : off + block] = scale * pair.a
-        fam_b[:, k, off : off + block] = pair.b / scale
+        fam_a[:, k] = scale * pair.a
+        fam_b[:, k] = pair.b / scale
 
     witness = {} if sols[best_k] is None else {"gram": sols[best_k].gram}
     estimate = NormEstimate(

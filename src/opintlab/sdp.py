@@ -11,23 +11,26 @@ smallest max_i ||a_i|| * max_j ||b_j|| over vector families with
 <a_i, b_j> = S_ij.
 
 The solver is a log-barrier path-following method with exact Newton steps on
-(P, Q, t).  Certification does not rely on the barrier weight reaching zero:
-every centered iterate yields a feasible primal point (ridge-corrected, then
+(P, Q, t), iterating on the Gram matrix G itself in the field of the data:
+real data uses an orthonormal basis of the real symmetric matrices and real
+arithmetic, complex data the Hermitian basis that adds i/sqrt(2) times the
+antisymmetric elements.  The data is first divided by its largest entry,
+which the norm scales with, so the duality-gap tolerance is relative to
+max_ij |S_ij|.
+
+Certification does not rely on the barrier weight reaching zero: every
+centered iterate yields a feasible primal point (ridge-corrected, then
 verified positive semidefinite by explicit eigenvalue bounds) and a feasible
 dual certificate (diagonal blocks forced diagonal, ridge-corrected, verified,
 trace-normalized), and consecutive centers are Richardson-extrapolated toward
 the weight-zero limit to produce sharper candidates that pass through the
 same verification.  Weak duality then makes the reported duality gap a true
 bound on the distance to the optimum, no matter how the iterates were found.
-
-Complex data is handled through the real symmetric embedding
-X -> [[Re X, -Im X], [Im X, Re X]], which doubles multiplicities but leaves
-the optimal value unchanged; the complex Gram block is read back off the
-symmetrized real solution.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,6 @@ from .errors import NumericalBreakdown
 from .linalg import as_matrix
 
 GAP_TOL = 1e-7
-FEAS_TOL = 1e-8
 MAX_ITER = 300
 MAX_SIDE = 256
 
@@ -58,7 +60,7 @@ class SdpSolution:
         ``value``; positive semidefinite with row norms bounded by ``value``.
     duality_gap: ``value`` minus the best verified dual lower bound.
     iterations: total Newton steps taken.
-    status: "Optimal", "MaxIter" or "Infeasible".
+    status: "Optimal" (gap within tolerance) or "MaxIter".
     """
 
     value: float
@@ -68,21 +70,41 @@ class SdpSolution:
     status: str
 
 
-def _sym_basis(n: int):
-    """Upper-triangle index pairs and scaling for an orthonormal basis of Sym(n).
+def _herm_basis(n: int, offset: int, complex_field: bool):
+    """Orthonormal basis of the n-square symmetric or Hermitian matrices.
 
-    Basis element k is coef[k] * (E[a_k, b_k] + E[b_k, a_k]) with coef 1/2 on
-    the diagonal and 1/sqrt(2) off it.
+    Element k is w[k] * E[r[k], c[k]] + conj(w[k]) * E[c[k], r[k]], with
+    indices shifted by ``offset`` into the Gram matrix.  The upper triangle
+    carries the symmetric elements (w = 1/2 on the diagonal, 1/sqrt(2) off
+    it); for complex data the strict lower triangle carries the
+    antisymmetric ones i (E[a, b] - E[b, a]) / sqrt(2), a < b, as
+    w = -i/sqrt(2) at (b, a), so no two elements share a position.
     """
-    ia, ib = np.triu_indices(n)
-    coef = np.where(ia == ib, 0.5, 1.0 / np.sqrt(2.0))
-    return ia, ib, coef
+    r, c = np.triu_indices(n)
+    w = np.where(r == c, 0.5, np.sqrt(0.5))
+    if complex_field:
+        ca, rb = np.triu_indices(n, 1)
+        r, c = np.concatenate([r, rb]), np.concatenate([c, ca])
+        w = np.concatenate([w, np.full(rb.size, -1j * np.sqrt(0.5))])
+    return r + offset, c + offset, w
 
 
-def _mat_from_vec(x: np.ndarray, ia, ib, coef, n: int) -> np.ndarray:
-    tmp = np.zeros((n, n))
-    tmp[ia, ib] = coef * x
-    return tmp + tmp.T
+def _hess_block(m: np.ndarray, k_basis, l_basis) -> np.ndarray:
+    """Re tr(M B_k M B_l) for basis elements B_k, B_l (see _herm_basis).
+
+    Expanding both elements gives
+    2 Re(w_k w_l M[c_l, r_k] M[c_k, r_l] + w_k conj(w_l) M[r_l, r_k] M[c_k, c_l])
+    for Hermitian M, gathered here one block at a time.
+    """
+    rk, ck, wk = k_basis
+    rl, cl, wl = l_basis
+    first = np.outer(wk, wl) * m[np.ix_(ck, rl)] * m[np.ix_(cl, rk)].T
+    second = np.outer(wk, wl.conj()) * m[np.ix_(ck, cl)] * m[np.ix_(rl, rk)].T
+    return 2.0 * np.real(first + second)
+
+
+def _gram(s: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.block([[p, s], [s.conj().T, q]])
 
 
 def _chol_or_none(g: np.ndarray):
@@ -92,49 +114,57 @@ def _chol_or_none(g: np.ndarray):
         return None
 
 
-def _barrier_value(sh, p, q, t, mu):
-    """t + mu * (-logdet G - sum log slacks), or +inf outside the domain."""
-    g = np.block([[p, sh], [sh.T, q]])
+def _inverse(g: np.ndarray):
+    """Inverse Cholesky factor L^-1 of G = L L* and M = G^-1 = L^-* L^-1."""
     chol = _chol_or_none(g)
-    if chol is None:
-        return np.inf, None
-    slacks = np.concatenate([t - np.diag(p), t - np.diag(q)])
-    if np.any(slacks <= 0.0):
-        return np.inf, None
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return t + mu * (-logdet - np.sum(np.log(slacks))), chol
+    if chol is None:  # pragma: no cover - iterates stay interior
+        raise NumericalBreakdown("iterate left the positive cone")
+    linv = np.linalg.inv(chol)
+    return linv, linv.conj().T @ linv
 
 
-def _verified_dual_bound(sh: np.ndarray, z: np.ndarray) -> float:
+def _barrier_value(s, p, q, t, mu):
+    """t + mu * (-logdet G - sum log slacks), or +inf outside the domain."""
+    g = _gram(s, p, q)
+    chol = _chol_or_none(g)
+    slacks = t - np.diag(g).real
+    if chol is None or np.any(slacks <= 0.0):
+        return np.inf
+    logdet = 2.0 * np.sum(np.log(np.diag(chol).real))
+    return t + mu * (-logdet - np.sum(np.log(slacks)))
+
+
+def _verified_dual_bound(s: np.ndarray, z: np.ndarray) -> float:
     """True lower bound on the optimum from an approximate dual matrix.
 
     The dual cone consists of positive semidefinite matrices whose diagonal
-    blocks are diagonal, normalized to unit trace; the bound is minus twice
-    the pairing of the off-diagonal block with the data.  The candidate is
-    projected onto that structure: off-diagonal entries of the diagonal
-    blocks are dropped, a ridge covering both the projection and eigenvalue
-    roundoff restores positive semidefiniteness, and the trace is rescaled.
-    Weak duality makes the result a valid bound for any input whatsoever.
+    blocks are diagonal, normalized to unit trace; the bound is
+    -2 Re sum(conj(Z_12) * S), the pairing of the off-diagonal block with the
+    data.  The candidate is projected onto that structure: off-diagonal
+    entries of the diagonal blocks are dropped, a ridge covering both the
+    projection and eigenvalue roundoff restores positive semidefiniteness,
+    and the trace is rescaled.  Weak duality makes the result a valid bound
+    for any input whatsoever.
     """
-    ph, qh = sh.shape
+    ph, qh = s.shape
     m = ph + qh
     zd = z.copy()
     zd[:ph, :ph] = np.diag(np.diag(z[:ph, :ph]))
     zd[ph:, ph:] = np.diag(np.diag(z[ph:, ph:]))
-    zd = (zd + zd.T) / 2.0
+    zd = (zd + zd.conj().T) / 2.0
     if not np.all(np.isfinite(zd)):
         return -np.inf
     evals = np.linalg.eigvalsh(zd)
     scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
     delta = max(0.0, -float(evals[0])) + _EIG_GUARD * scale
-    tau = float(np.trace(zd)) + delta * m
+    tau = float(np.trace(zd).real) + delta * m
     if not np.isfinite(tau) or tau <= 1e-300:
         return -np.inf
-    value = -2.0 * float(np.sum(zd[:ph, ph:] * sh)) / tau
+    value = -2.0 * float(np.sum(zd[:ph, ph:].conj() * s).real) / tau
     return value if np.isfinite(value) else -np.inf
 
 
-def _verified_primal(sh: np.ndarray, p: np.ndarray, q: np.ndarray):
+def _verified_primal(s: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Feasible primal blocks from approximate ones, with a certified value.
 
     A ridge large enough to cover the measured negative spectrum plus
@@ -142,9 +172,9 @@ def _verified_primal(sh: np.ndarray, p: np.ndarray, q: np.ndarray):
     is the largest resulting diagonal entry, so the returned triple is a
     genuine feasible point and its value a true upper bound.
     """
-    ph, qh = sh.shape
-    g = np.block([[p, sh], [sh.T, q]])
-    g = (g + g.T) / 2.0
+    ph, qh = s.shape
+    g = _gram(s, p, q)
+    g = (g + g.conj().T) / 2.0
     if not np.all(np.isfinite(g)):
         return None
     evals = np.linalg.eigvalsh(g)
@@ -152,7 +182,7 @@ def _verified_primal(sh: np.ndarray, p: np.ndarray, q: np.ndarray):
     delta = max(0.0, -float(evals[0])) + _EIG_GUARD * scale
     pp = g[:ph, :ph] + delta * np.eye(ph)
     qq = g[ph:, ph:] + delta * np.eye(qh)
-    t = float(max(np.max(np.diag(pp)), np.max(np.diag(qq))))
+    t = float(max(np.max(np.diag(pp).real), np.max(np.diag(qq).real)))
     return pp, qq, t
 
 
@@ -161,32 +191,32 @@ def _extrapolate(cur: np.ndarray, prev: np.ndarray, ratio: float) -> np.ndarray:
     return (cur - ratio * prev) / (1.0 - ratio)
 
 
-def _solve_real(sh: np.ndarray, gap_tol: float, max_iter: int):
-    """Path-following on the real symmetric program.
+def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
+    """Path-following on the program in the field of ``s`` (real or complex).
 
     Returns the best verified primal blocks, their value, the certified gap,
     the Newton step count and a status string.
     """
-    ph, qh = sh.shape
-    iap, ibp, cp = _sym_basis(ph)
-    iaq, ibq, cq = _sym_basis(qh)
-    kp, kq = iap.size, iaq.size
-    diag_p = np.flatnonzero(iap == ibp)
-    diag_q = np.flatnonzero(iaq == ibq)
+    ph, qh = s.shape
+    complex_field = np.iscomplexobj(s)
+    basis_p = _herm_basis(ph, 0, complex_field)
+    basis_q = _herm_basis(qh, ph, complex_field)
+    r, c, w = (np.concatenate(parts) for parts in zip(basis_p, basis_q))
+    kp, k = basis_p[0].size, r.size
+    diag = np.flatnonzero(r == c)  # coordinates of G_00, ..., G_(p+q-1)(p+q-1)
 
-    snorm = float(np.linalg.svd(sh, compute_uv=False)[0]) if min(ph, qh) else 0.0
+    snorm = float(np.linalg.svd(s, compute_uv=False)[0])
     c0 = snorm + 1.0
-    p = c0 * np.eye(ph)
-    q = c0 * np.eye(qh)
+    p = c0 * np.eye(ph, dtype=s.dtype)
+    q = c0 * np.eye(qh, dtype=s.dtype)
     t = 2.0 * c0
 
     mu = max(1.0, snorm)
     newton_used = 0
-    status = "MaxIter"
     best_upper = np.inf
     best_blocks = None
     best_lower = -np.inf
-    centers = []  # (mu, p, q, z) at the last few centered weights
+    centers = deque(maxlen=3)  # (mu, stacked [G, Z]) at the last centered weights
 
     while True:
         # Center at the current barrier weight.  The decrement threshold
@@ -197,97 +227,64 @@ def _solve_real(sh: np.ndarray, gap_tol: float, max_iter: int):
         for _ in range(_INNER_CAP):
             if newton_used >= max_iter:
                 break
-            g = np.block([[p, sh], [sh.T, q]])
-            chol = _chol_or_none(g)
-            if chol is None:  # pragma: no cover - iterates stay interior
-                raise NumericalBreakdown("iterate left the positive cone")
-            linv = np.linalg.inv(chol)
-            minv = linv.T @ linv
-            m11 = minv[:ph, :ph]
-            m12 = minv[:ph, ph:]
-            m22 = minv[ph:, ph:]
-            dvec = 1.0 / (t - np.diag(p))
-            evec = 1.0 / (t - np.diag(q))
+            g = _gram(s, p, q)
+            linv, minv = _inverse(g)
+            slack = t - np.diag(g).real  # t - P_ii, then t - Q_jj
 
-            grad_p = -2.0 * cp * m11[iap, ibp]
-            grad_p[diag_p] += dvec
-            grad_q = -2.0 * cq * m22[iaq, ibq]
-            grad_q[diag_q] += evec
-            grad_t = -(dvec.sum() + evec.sum())
-            grad = mu * np.concatenate([grad_p, grad_q, [grad_t]])
+            # -d logdet G along B_k is -tr(M B_k) = -2 Re(w_k M[c_k, r_k]).
+            grad = np.zeros(k + 1)
+            grad[:-1] = -2.0 * np.real(w * minv[c, r])
+            grad[diag] += 1.0 / slack
+            grad[-1] = -np.sum(1.0 / slack)
+            grad *= mu
             grad[-1] += 1.0
 
-            hpp = 2.0 * np.outer(cp, cp) * (
-                m11[np.ix_(iap, iap)] * m11[np.ix_(ibp, ibp)]
-                + m11[np.ix_(iap, ibp)] * m11[np.ix_(ibp, iap)]
-            )
-            hpp[diag_p, diag_p] += dvec**2
-            hqq = 2.0 * np.outer(cq, cq) * (
-                m22[np.ix_(iaq, iaq)] * m22[np.ix_(ibq, ibq)]
-                + m22[np.ix_(iaq, ibq)] * m22[np.ix_(ibq, iaq)]
-            )
-            hqq[diag_q, diag_q] += evec**2
-            hpq = 2.0 * np.outer(cp, cq) * (
-                m12[np.ix_(iap, ibq)] * m12[np.ix_(ibp, iaq)]
-                + m12[np.ix_(iap, iaq)] * m12[np.ix_(ibp, ibq)]
-            )
-            hess = np.zeros((kp + kq + 1, kp + kq + 1))
-            hess[:kp, :kp] = hpp
-            hess[kp : kp + kq, kp : kp + kq] = hqq
-            hess[:kp, kp : kp + kq] = hpq
-            hess[kp : kp + kq, :kp] = hpq.T
-            hess[diag_p, -1] = -(dvec**2)
-            hess[-1, diag_p] = -(dvec**2)
-            hess[kp + diag_q, -1] = -(evec**2)
-            hess[-1, kp + diag_q] = -(evec**2)
-            hess[-1, -1] = (dvec**2).sum() + (evec**2).sum()
-            hess *= mu
-            hess = (hess + hess.T) / 2.0
+            hess = np.zeros((k + 1, k + 1))
+            hess[:kp, :kp] = _hess_block(minv, basis_p, basis_p)
+            hess[kp:-1, kp:-1] = _hess_block(minv, basis_q, basis_q)
+            hess[:kp, kp:-1] = _hess_block(minv, basis_p, basis_q)
+            hess[kp:-1, :kp] = hess[:kp, kp:-1].T
+            hess[diag, diag] += slack**-2
+            hess[diag, -1] = hess[-1, diag] = -(slack**-2)
+            hess[-1, -1] = np.sum(slack**-2)
+            hess += hess.T
+            hess *= 0.5 * mu
 
             step = None
             ridge = 0.0
             for _ in range(8):
                 try:
-                    step = np.linalg.solve(
-                        hess + ridge * np.eye(hess.shape[0]), -grad
-                    )
+                    step = np.linalg.solve(hess + ridge * np.eye(k + 1), -grad)
                     break
                 except np.linalg.LinAlgError:
                     ridge = max(ridge * 100.0, 1e-12 * max(1.0, np.trace(hess)))
             if step is None:
                 raise NumericalBreakdown("Newton system is singular")
-
-            decrement = float(-grad @ step)
-            if decrement <= threshold:
+            if -grad @ step <= threshold:
                 break
 
-            dp = _mat_from_vec(step[:kp], iap, ibp, cp, ph)
-            dq = _mat_from_vec(step[kp : kp + kq], iaq, ibq, cq, qh)
-            dt = float(step[-1])
+            dg = np.zeros_like(g)
+            dg[r, c] = w * step[:-1]
+            dg += dg.conj().T
+            dp, dq, dt = dg[:ph, :ph], dg[ph:, ph:], float(step[-1])
 
             # Largest feasible step: stay in the positive cone ...
-            dg = np.zeros_like(g)
-            dg[:ph, :ph] = dp
-            dg[ph:, ph:] = dq
-            half = np.linalg.solve(chol, dg)
-            whitened = np.linalg.solve(chol, half.T).T
-            lam_min = float(np.linalg.eigvalsh((whitened + whitened.T) / 2.0)[0])
+            lam_min = float(np.linalg.eigvalsh(linv @ dg @ linv.conj().T)[0])
             smax = np.inf if lam_min >= -1e-300 else 1.0 / (-lam_min)
             # ... and keep the diagonal slacks positive.
-            slacks = np.concatenate([t - np.diag(p), t - np.diag(q)])
-            dslacks = dt - np.concatenate([np.diag(dp), np.diag(dq)])
-            shrink = dslacks < 0.0
+            dslack = dt - np.diag(dg).real
+            shrink = dslack < 0.0
             if np.any(shrink):
-                smax = min(smax, float(np.min(slacks[shrink] / -dslacks[shrink])))
+                smax = min(smax, float(np.min(slack[shrink] / -dslack[shrink])))
             size = min(1.0, _FRAC_TO_BOUNDARY * smax)
 
-            fval, _ = _barrier_value(sh, p, q, t, mu)
+            fval = _barrier_value(s, p, q, t, mu)
             accepted = False
             for _ in range(60):
                 cand_p = p + size * dp
                 cand_q = q + size * dq
                 cand_t = t + size * dt
-                cand_f, _ = _barrier_value(sh, cand_p, cand_q, cand_t, mu)
+                cand_f = _barrier_value(s, cand_p, cand_q, cand_t, mu)
                 if cand_f <= fval + _ARMIJO * size * float(grad @ step):
                     accepted = True
                     break
@@ -302,49 +299,27 @@ def _solve_real(sh: np.ndarray, gap_tol: float, max_iter: int):
         # the weight, so linear extrapolation is second-order and the
         # three-point variant third-order; every candidate is re-verified,
         # so a poor extrapolation only wastes the attempt).
-        g = np.block([[p, sh], [sh.T, q]])
-        chol = _chol_or_none(g)
-        if chol is not None:
-            linv = np.linalg.inv(chol)
-            z = mu * (linv.T @ linv)
-        else:  # pragma: no cover - iterates stay interior
-            z = mu * np.linalg.pinv((g + g.T) / 2.0)
-        centers.append((mu, p.copy(), q.copy(), z))
-        if len(centers) > 3:
-            centers.pop(0)
-        primal_candidates = [(p, q)]
-        dual_candidates = [z]
+        g = _gram(s, p, q)
+        centers.append((mu, np.stack([g, mu * _inverse(g)[1]])))
+        candidates = [centers[-1][1]]
         if len(centers) >= 2:
-            mu_prev, p_prev, q_prev, z_prev = centers[-2]
+            mu_prev, prev = centers[-2]
             for ratio in (mu / mu_prev, np.sqrt(mu / mu_prev)):
-                primal_candidates.append(
-                    (
-                        _extrapolate(p, p_prev, ratio),
-                        _extrapolate(q, q_prev, ratio),
-                    )
-                )
-                dual_candidates.append(_extrapolate(z, z_prev, ratio))
-        if len(centers) >= 3:
-            x1, x2, x3 = (c[0] for c in (centers[-1], centers[-2], centers[-3]))
-            w1 = x2 * x3 / ((x2 - x1) * (x3 - x1))
-            w2 = x1 * x3 / ((x1 - x2) * (x3 - x2))
-            w3 = x1 * x2 / ((x1 - x3) * (x2 - x3))
-            weights = (w1, w2, w3)
-            recent = (centers[-1], centers[-2], centers[-3])
-            primal_candidates.append(
-                (
-                    sum(wk * c[1] for wk, c in zip(weights, recent)),
-                    sum(wk * c[2] for wk, c in zip(weights, recent)),
-                )
-            )
-            dual_candidates.append(sum(wk * c[3] for wk, c in zip(weights, recent)))
-        for cand_p, cand_q in primal_candidates:
-            verified = _verified_primal(sh, cand_p, cand_q)
+                candidates.append(_extrapolate(candidates[0], prev, ratio))
+        if len(centers) == 3:
+            # Lagrange weights of the three centers at weight zero.
+            xs = [x for x, _ in centers]
+            weights = [
+                np.prod([xj / (xj - xi) for j, xj in enumerate(xs) if j != i])
+                for i, xi in enumerate(xs)
+            ]
+            candidates.append(sum(wi * gz for wi, (_, gz) in zip(weights, centers)))
+        for cand_g, cand_z in candidates:
+            verified = _verified_primal(s, cand_g[:ph, :ph], cand_g[ph:, ph:])
             if verified is not None and verified[2] < best_upper:
                 best_blocks = verified[:2]
                 best_upper = verified[2]
-        for cand_z in dual_candidates:
-            best_lower = max(best_lower, _verified_dual_bound(sh, cand_z))
+            best_lower = max(best_lower, _verified_dual_bound(s, cand_z))
 
         gap = max(0.0, best_upper - best_lower)
         if gap <= gap_tol:
@@ -360,26 +335,15 @@ def _solve_real(sh: np.ndarray, gap_tol: float, max_iter: int):
     return best_blocks[0], best_blocks[1], best_upper, gap, newton_used, status
 
 
-def _real_embed(s: np.ndarray) -> np.ndarray:
-    return np.block([[s.real, -s.imag], [s.imag, s.real]])
-
-
-def _extract_embedded(block: np.ndarray, n: int) -> np.ndarray:
-    """Read a Hermitian n-square matrix off its symmetrized 2n-square embedding."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = -np.eye(n)
-    j[n:, :n] = np.eye(n)
-    sym = (block + j @ block @ j.T) / 2.0
-    return sym[:n, :n] + 1j * sym[n:, :n]
-
-
 def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
     """Compute the factorization norm of a dense matrix with certificates.
 
     Returns an :class:`SdpSolution` whose ``gram`` block is positive
     semidefinite with the data matrix in its off-diagonal corner and whose
     ``duality_gap`` bounds the distance between ``value`` and the true norm.
-    A ``MaxIter`` status returns the best iterate together with its gap.
+    ``gap_tol`` is relative to the largest entry modulus of ``s``, so the
+    status does not depend on the scale of the data.  A ``MaxIter`` status
+    returns the best iterate together with its gap.
     """
     sm = as_matrix(s)
     p_dim, q_dim = sm.shape
@@ -389,27 +353,21 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
         )
     if gap_tol <= 0.0:
         raise ValueError("gap_tol must be positive")
-    complex_data = bool(np.any(sm.imag != 0.0))
-    sh = _real_embed(sm) if complex_data else sm.real.copy()
+    top = float(np.max(np.abs(sm))) if sm.size else 0.0
+    if top == 0.0:
+        zeros = np.zeros((p_dim + q_dim, p_dim + q_dim), dtype=np.complex128)
+        return SdpSolution(value=0.0, gram=zeros, duality_gap=0.0, iterations=0,
+                           status="Optimal")
 
-    p, q, value, gap, iters, status = _solve_real(sh, gap_tol, max_iter)
-
-    if complex_data:
-        pc = _extract_embedded(p, p_dim)
-        qc = _extract_embedded(q, q_dim)
-    else:
-        pc = p.astype(np.complex128)
-        qc = q.astype(np.complex128)
-    gram = np.zeros((p_dim + q_dim, p_dim + q_dim), dtype=np.complex128)
-    gram[:p_dim, :p_dim] = pc
-    gram[:p_dim, p_dim:] = sm
-    gram[p_dim:, :p_dim] = sm.conj().T
-    gram[p_dim:, p_dim:] = qc
-
+    # Real division: complex division by a subnormal ``top`` overflows.
+    data = sm.real / top
+    if np.any(sm.imag != 0.0):
+        data = data + 1j * (sm.imag / top)
+    p, q, value, gap, iters, status = _solve(data, gap_tol, max_iter)
     return SdpSolution(
-        value=float(value),
-        gram=gram,
-        duality_gap=float(gap),
+        value=float(top * value),
+        gram=_gram(sm, top * p, top * q),
+        duality_gap=float(top * gap),
         iterations=int(iters),
         status=status,
     )

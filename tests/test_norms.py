@@ -139,7 +139,7 @@ class TestTrilinearFactor:
             pair.reconstruct(), np.asarray(grid.values), atol=1e-6
         )
         assert pair.norm_a * pair.norm_b <= est.value + 1e-9
-        assert pair.hilbert_dim == 3 * (2 + 2)
+        assert pair.hilbert_dim == 2 + 2
 
     def test_zero_middle_slice_is_skipped(self):
         _, grid = _instance((2, 3, 2), seed=11)
