@@ -274,6 +274,12 @@ def cmd_factor(args):
     }, sol.status == "Optimal" and residual <= 1e-6
 
 
+def _check_agreement_tol(tol: float) -> None:
+    """Reject a lower/upper agreement tolerance that is negative or not finite."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+
+
 def run_verify_main(
     dims,
     trials: int,
@@ -294,6 +300,7 @@ def run_verify_main(
         raise ValueError(f"need three positive dimensions, got {dims}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    _check_agreement_tol(tol)
     if any(d > _VERIFY_DIM_CAP for d in dims):
         raise BudgetExceeded(
             f"dimensions {dims} exceed the default verification budget "
@@ -353,6 +360,8 @@ def cmd_verify_main(args):
 def run_example_ex1(n: int, seed: int = DEFAULT_SEED) -> dict:
     """Grid constant along its first axis: the transform is X times a
     Schur multiplier of Y, and the trace-output norm is the largest entry."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng([seed, 1])
     s = rng.uniform(-1.0, 1.0, size=(n, n))
     ops = (_diag_op(n), _diag_op(n), _diag_op(n))
@@ -391,6 +400,8 @@ def run_example_ex2(n: int, seed: int = DEFAULT_SEED, growth_sizes=(2, 4, 8, 16)
     sup norm 1, and the factorization norm of the lower-triangular all-ones
     matrix grows strictly with its size.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     canonical = np.array([[1.0, 1.0], [1.0, -1.0]])
     canon_grid = _embed_middle_slice(canonical, 2)
     canon_value = trilinear_factor_norm(canon_grid)[0].value
@@ -434,6 +445,7 @@ def cmd_examples(args):
 
 
 def cmd_peller(args):
+    _check_agreement_tol(args.tol)
     op_a = _load_operator(args.op_a)
     op_b = _load_operator(args.op_b)
     psi = _load_grid(args.grid)

@@ -17,8 +17,6 @@ from the semidefinite solver and are correct up to its duality gap.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,13 +273,10 @@ def trilinear_factor_norm(
     slices = middle_slices(phi)
     n1, n2, n3 = phi.shape
 
-    def solve_slice(mat):
-        if not np.any(mat):
-            return None
-        return solve_gamma2_sdp(mat, gap_tol=gap_tol, max_iter=max_iter)
-
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        sols = list(pool.map(solve_slice, slices))
+    sols = [
+        solve_gamma2_sdp(mat, gap_tol=gap_tol, max_iter=max_iter) if np.any(mat) else None
+        for mat in slices
+    ]
     slice_values = np.array(
         [0.0 if sol is None else sol.value for sol in sols], dtype=float
     )

@@ -11,12 +11,13 @@ smallest max_i ||a_i|| * max_j ||b_j|| over vector families with
 <a_i, b_j> = S_ij.
 
 The solver is a log-barrier path-following method with exact Newton steps on
-(P, Q, t), iterating on the Gram matrix G itself in the field of the data:
-real data uses an orthonormal basis of the real symmetric matrices and real
-arithmetic, complex data the Hermitian basis that adds i/sqrt(2) times the
-antisymmetric elements.  The data is first divided by its largest entry,
-which the norm scales with, so the duality-gap tolerance is relative to
-max_ij |S_ij|.
+(P, Q, t), iterating on the Gram matrix G itself in the field of the data
+(real arithmetic for real data).  No dense Hessian is formed: the Newton
+system is solved by block elimination, inverting the log-determinant
+Hessian on the two diagonal blocks in closed form and the slack barrier
+through a bordered (p+q+1)-square system, in O((p+q)^2 q^2) work per step.
+The data is first divided by its largest entry, which the norm scales with,
+so the duality-gap tolerance is relative to max_ij |S_ij|.
 
 Certification does not rely on the barrier weight reaching zero: every
 centered iterate yields a feasible primal point (ridge-corrected, then
@@ -70,68 +71,92 @@ class SdpSolution:
     status: str
 
 
-def _herm_basis(n: int, offset: int, complex_field: bool):
-    """Orthonormal basis of the n-square symmetric or Hermitian matrices.
-
-    Element k is w[k] * E[r[k], c[k]] + conj(w[k]) * E[c[k], r[k]], with
-    indices shifted by ``offset`` into the Gram matrix.  The upper triangle
-    carries the symmetric elements (w = 1/2 on the diagonal, 1/sqrt(2) off
-    it); for complex data the strict lower triangle carries the
-    antisymmetric ones i (E[a, b] - E[b, a]) / sqrt(2), a < b, as
-    w = -i/sqrt(2) at (b, a), so no two elements share a position.
-    """
-    r, c = np.triu_indices(n)
-    w = np.where(r == c, 0.5, np.sqrt(0.5))
-    if complex_field:
-        ca, rb = np.triu_indices(n, 1)
-        r, c = np.concatenate([r, rb]), np.concatenate([c, ca])
-        w = np.concatenate([w, np.full(rb.size, -1j * np.sqrt(0.5))])
-    return r + offset, c + offset, w
-
-
-def _hess_block(m: np.ndarray, k_basis, l_basis) -> np.ndarray:
-    """Re tr(M B_k M B_l) for basis elements B_k, B_l (see _herm_basis).
-
-    Expanding both elements gives
-    2 Re(w_k w_l M[c_l, r_k] M[c_k, r_l] + w_k conj(w_l) M[r_l, r_k] M[c_k, c_l])
-    for Hermitian M, gathered here one block at a time.
-    """
-    rk, ck, wk = k_basis
-    rl, cl, wl = l_basis
-    first = np.outer(wk, wl) * m[np.ix_(ck, rl)] * m[np.ix_(cl, rk)].T
-    second = np.outer(wk, wl.conj()) * m[np.ix_(ck, cl)] * m[np.ix_(rl, rk)].T
-    return 2.0 * np.real(first + second)
-
-
 def _gram(s: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.block([[p, s], [s.conj().T, q]])
 
 
-def _chol_or_none(g: np.ndarray):
+def _barrier(g: np.ndarray, t: float):
+    """Cholesky factor of G and -logdet G - sum log(t - G_ii), or (None, inf)
+    outside the domain."""
+    slacks = t - np.diag(g).real
+    if np.any(slacks <= 0.0):
+        return None, np.inf
     try:
-        return np.linalg.cholesky(g)
+        chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        return None
+        return None, np.inf
+    return chol, -2.0 * np.sum(np.log(np.diag(chol).real)) - np.sum(np.log(slacks))
 
 
-def _inverse(g: np.ndarray):
+def _inverse(chol: np.ndarray):
     """Inverse Cholesky factor L^-1 of G = L L* and M = G^-1 = L^-* L^-1."""
-    chol = _chol_or_none(g)
-    if chol is None:  # pragma: no cover - iterates stay interior
-        raise NumericalBreakdown("iterate left the positive cone")
     linv = np.linalg.inv(chol)
     return linv, linv.conj().T @ linv
 
 
-def _barrier_value(s, p, q, t, mu):
-    """t + mu * (-logdet G - sum log slacks), or +inf outside the domain."""
-    g = _gram(s, p, q)
-    chol = _chol_or_none(g)
-    slacks = t - np.diag(g).real
-    if chol is None or np.any(slacks <= 0.0):
-        return np.inf
-    logdet = 2.0 * np.sum(np.log(np.diag(chol).real))
-    return t + mu * (-logdet - np.sum(np.log(slacks)))
+def _newton_step(g: np.ndarray, chol: np.ndarray, m: np.ndarray, slack: np.ndarray,
+                 mu: float, ph: int):
+    """Newton direction (dG, dt) of the barrier problem and its decrement.
+
+    ``chol`` is the Cholesky factor of G, ``m`` is G^-1 and ``slack`` holds
+    t - G_ii.  The Hessian of -logdet on the block-diagonal directions is
+    L0(dG) = Pi_bd(M dG M); solve L0(dG) = blkdiag(E1, E2).  With
+    A = M11^-1 = P - S Q^-1 S* and F = M21 M11^-1 = -Q^-1 S*, the P block
+    gives dP = A E1 A - F* dQ F and the Q block then reads
+    M22 dQ M22 - N dQ N = E2 - F E1 F*, N = M22 - Q^-1.
+    From the SVD Lq^-1 L22 = U diag(sqrt(nu)) Z* (Q = Lq Lq*, L22 the
+    trailing block of chol), W = L22 Z has W* M22 W = I and
+    W* N W = I - diag(nu), which inverts L0 in closed form; 1 - lam_i lam_j
+    is formed from nu, so no cancellation occurs as G nears singularity.
+    The slack barrier only touches the p+q diagonal entries and t, so the
+    full system reduces to a bordered (p+q+1)-square one in the diagonal
+    multipliers u and dt, whose matrix T = diag o L0^-1 o Diag is formed
+    from H = W* [F | I].
+    """
+    n = g.shape[0]
+    lq_inv = np.linalg.inv(np.linalg.cholesky(g[ph:, ph:]))
+    y = lq_inv @ g[ph:, :ph]
+    a = g[:ph, :ph] - y.conj().T @ y
+    f = -lq_inv.conj().T @ y
+    l22 = chol[ph:, ph:]
+    _, sv, zh = np.linalg.svd(lq_inv @ l22)
+    w = l22 @ zh.conj().T
+    wh = w.conj().T
+    nu = sv**2
+    damp = 1.0 / (nu[:, None] + nu[None, :] * (1.0 - nu[:, None]))
+
+    def l0_inv(e):
+        e1 = e[:ph, :ph]
+        dq = w @ ((wh @ (e[ph:, ph:] - f @ e1 @ f.conj().T) @ w) * damp) @ wh
+        out = np.zeros_like(e)
+        out[:ph, :ph] = a @ e1 @ a - f.conj().T @ dq @ f
+        out[ph:, ph:] = dq
+        return out
+
+    diag = np.diag_indices(n)
+    r = m.copy()
+    r[:ph, ph:] = 0.0
+    r[ph:, :ph] = 0.0
+    r[diag] -= 1.0 / slack
+
+    h = np.hstack([wh @ f, wh])
+    pairs = (h[:, None, :] * h.conj()[None, :, :]).reshape(-1, n)
+    sign = np.ones(n)
+    sign[:ph] = -1.0
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = ((pairs * damp.reshape(-1, 1)).T @ pairs.conj()).real
+    bordered[:n, :n] *= np.outer(sign, sign)
+    bordered[:ph, :ph] += np.abs(a) ** 2
+    bordered[diag] += slack**2
+    bordered[n, n] = 0.0
+    rhs = np.append(np.diag(l0_inv(r)).real, 1.0 / mu - np.sum(1.0 / slack))
+    sol = np.linalg.solve(bordered, rhs)
+
+    dg = l0_inv(r - np.diag(sol[:n]))
+    dg = (dg + dg.conj().T) / 2.0
+    dt = float(sol[n])
+    decrement = mu * float(np.vdot(r, dg).real) - (1.0 - mu * np.sum(1.0 / slack)) * dt
+    return dg, dt, decrement
 
 
 def _verified_dual_bound(s: np.ndarray, z: np.ndarray) -> float:
@@ -198,18 +223,11 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     the Newton step count and a status string.
     """
     ph, qh = s.shape
-    complex_field = np.iscomplexobj(s)
-    basis_p = _herm_basis(ph, 0, complex_field)
-    basis_q = _herm_basis(qh, ph, complex_field)
-    r, c, w = (np.concatenate(parts) for parts in zip(basis_p, basis_q))
-    kp, k = basis_p[0].size, r.size
-    diag = np.flatnonzero(r == c)  # coordinates of G_00, ..., G_(p+q-1)(p+q-1)
-
     snorm = float(np.linalg.svd(s, compute_uv=False)[0])
     c0 = snorm + 1.0
-    p = c0 * np.eye(ph, dtype=s.dtype)
-    q = c0 * np.eye(qh, dtype=s.dtype)
+    g = _gram(s, c0 * np.eye(ph, dtype=s.dtype), c0 * np.eye(qh, dtype=s.dtype))
     t = 2.0 * c0
+    chol, phi = _barrier(g, t)  # the barrier value at weight mu is t + mu * phi
 
     mu = max(1.0, snorm)
     newton_used = 0
@@ -227,46 +245,16 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
         for _ in range(_INNER_CAP):
             if newton_used >= max_iter:
                 break
-            g = _gram(s, p, q)
-            linv, minv = _inverse(g)
+            linv, minv = _inverse(chol)
             slack = t - np.diag(g).real  # t - P_ii, then t - Q_jj
-
-            # -d logdet G along B_k is -tr(M B_k) = -2 Re(w_k M[c_k, r_k]).
-            grad = np.zeros(k + 1)
-            grad[:-1] = -2.0 * np.real(w * minv[c, r])
-            grad[diag] += 1.0 / slack
-            grad[-1] = -np.sum(1.0 / slack)
-            grad *= mu
-            grad[-1] += 1.0
-
-            hess = np.zeros((k + 1, k + 1))
-            hess[:kp, :kp] = _hess_block(minv, basis_p, basis_p)
-            hess[kp:-1, kp:-1] = _hess_block(minv, basis_q, basis_q)
-            hess[:kp, kp:-1] = _hess_block(minv, basis_p, basis_q)
-            hess[kp:-1, :kp] = hess[:kp, kp:-1].T
-            hess[diag, diag] += slack**-2
-            hess[diag, -1] = hess[-1, diag] = -(slack**-2)
-            hess[-1, -1] = np.sum(slack**-2)
-            hess += hess.T
-            hess *= 0.5 * mu
-
-            step = None
-            ridge = 0.0
-            for _ in range(8):
-                try:
-                    step = np.linalg.solve(hess + ridge * np.eye(k + 1), -grad)
-                    break
-                except np.linalg.LinAlgError:
-                    ridge = max(ridge * 100.0, 1e-12 * max(1.0, np.trace(hess)))
-            if step is None:
-                raise NumericalBreakdown("Newton system is singular")
-            if -grad @ step <= threshold:
+            try:
+                dg, dt, decrement = _newton_step(g, chol, minv, slack, mu, ph)
+            except np.linalg.LinAlgError:
+                raise NumericalBreakdown("Newton system is singular") from None
+            if not (np.isfinite(decrement) and np.all(np.isfinite(dg))):
+                raise NumericalBreakdown("Newton step is not finite")
+            if decrement <= threshold:
                 break
-
-            dg = np.zeros_like(g)
-            dg[r, c] = w * step[:-1]
-            dg += dg.conj().T
-            dp, dq, dt = dg[:ph, :ph], dg[ph:, ph:], float(step[-1])
 
             # Largest feasible step: stay in the positive cone ...
             lam_min = float(np.linalg.eigvalsh(linv @ dg @ linv.conj().T)[0])
@@ -278,20 +266,20 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
                 smax = min(smax, float(np.min(slack[shrink] / -dslack[shrink])))
             size = min(1.0, _FRAC_TO_BOUNDARY * smax)
 
-            fval = _barrier_value(s, p, q, t, mu)
+            # dG vanishes off the diagonal blocks, so every candidate keeps S.
+            fval = t + mu * phi
             accepted = False
             for _ in range(60):
-                cand_p = p + size * dp
-                cand_q = q + size * dq
+                cand_g = g + size * dg
                 cand_t = t + size * dt
-                cand_f = _barrier_value(s, cand_p, cand_q, cand_t, mu)
-                if cand_f <= fval + _ARMIJO * size * float(grad @ step):
+                cand_chol, cand_phi = _barrier(cand_g, cand_t)
+                if cand_t + mu * cand_phi <= fval - _ARMIJO * size * decrement:
                     accepted = True
                     break
                 size *= 0.5
             if not accepted:
                 break  # no further progress at this weight
-            p, q, t = cand_p, cand_q, cand_t
+            g, t, chol, phi = cand_g, cand_t, cand_chol, cand_phi
             newton_used += 1
 
         # Harvest certificates from this center and from extrapolations of
@@ -299,8 +287,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
         # the weight, so linear extrapolation is second-order and the
         # three-point variant third-order; every candidate is re-verified,
         # so a poor extrapolation only wastes the attempt).
-        g = _gram(s, p, q)
-        centers.append((mu, np.stack([g, mu * _inverse(g)[1]])))
+        centers.append((mu, np.stack([g, mu * _inverse(chol)[1]])))
         candidates = [centers[-1][1]]
         if len(centers) >= 2:
             mu_prev, prev = centers[-2]
@@ -351,8 +338,8 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
         raise ValueError(
             f"matrix of shape {sm.shape} exceeds the dense budget p+q <= {MAX_SIDE}"
         )
-    if gap_tol <= 0.0:
-        raise ValueError("gap_tol must be positive")
+    if not 0.0 < gap_tol < np.inf:
+        raise ValueError(f"gap_tol must be positive and finite, got {gap_tol}")
     top = float(np.max(np.abs(sm))) if sm.size else 0.0
     if top == 0.0:
         zeros = np.zeros((p_dim + q_dim, p_dim + q_dim), dtype=np.complex128)

@@ -400,6 +400,33 @@ def test_csv_rejected_outside_verify_main(tmp_path, capsys):
     assert main(["gamma2", path, "--format", "csv"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["examples", "ex1", "--n", "0"],
+        ["examples", "ex2", "--n", "0"],
+        ["gamma2", "MATRIX", "--tol", "nan"],
+        ["gamma2", "MATRIX", "--tol", "inf"],
+        ["verify-main", "--trials", "1", "--tol", "-1"],
+        ["verify-main", "--trials", "1", "--tol", "nan"],
+        ["peller", "--op-a", "OP_A", "--op-b", "OP_B", "--grid", "GRID", "--tol", "-1"],
+        ["peller", "--op-a", "OP_A", "--op-b", "OP_B", "--grid", "GRID", "--tol", "nan"],
+    ],
+    ids=["ex1-n0", "ex2-n0", "gamma2-nan", "gamma2-inf", "verify-neg", "verify-nan",
+         "peller-neg", "peller-nan"],
+)
+def test_rejected_arguments_exit_one(tmp_path, capsys, argv):
+    op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2])
+    files = {"MATRIX": _matrix_file(tmp_path, "m.json", [[2.0]]), "OP_A": op_paths[0],
+             "OP_B": op_paths[1], "GRID": grid_path}
+    code = main([files.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("opintlab: error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_unwritable_out_path_exits_one(tmp_path, capsys):
     path = _matrix_file(tmp_path, "m.json", np.eye(2))
     target = tmp_path / "missing" / "report.json"

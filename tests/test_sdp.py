@@ -18,9 +18,9 @@ import pytest
 from scipy.optimize import minimize
 
 from opintlab import NotPsd, recover_factorization, solve_gamma2_sdp
-from opintlab.sdp import _herm_basis, _hess_block
+from opintlab.sdp import _newton_step
 
-from conftest import random_complex, random_hermitian
+from conftest import random_complex
 
 RNG = np.random.default_rng(99)
 
@@ -227,8 +227,9 @@ def test_max_iter_still_gives_upper_bound():
 
 
 def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        solve_gamma2_sdp(np.eye(2), gap_tol=0.0)
+    for gap_tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            solve_gamma2_sdp(np.eye(2), gap_tol=gap_tol)
     with pytest.raises(ValueError):
         solve_gamma2_sdp(np.ones((200, 100)))
 
@@ -263,54 +264,86 @@ def test_status_and_value_do_not_depend_on_scale(field, scale):
     assert np.diag(unit).real.max() <= sol.value / scale * (1.0 + 1e-12)
 
 
-def _basis_element(basis, k: int, n: int) -> np.ndarray:
-    r, c, w = basis
-    e = np.zeros((n, n), dtype=complex)
-    e[r[k], c[k]] += w[k]
-    e[c[k], r[k]] += np.conj(w[k])
-    return e
+def _hermitian_basis(n: int, offset: int, size: int, complex_field: bool) -> list:
+    """Orthonormal basis of the n-square real symmetric (or Hermitian)
+    matrices, placed on the diagonal of a size-square matrix at ``offset``."""
+    elems = []
+    for a in range(offset, offset + n):
+        for b in range(a, offset + n):
+            e = np.zeros((size, size), dtype=complex)
+            e[a, b] = e[b, a] = 1.0 if a == b else np.sqrt(0.5)
+            elems.append(e)
+            if complex_field and a < b:
+                e = np.zeros((size, size), dtype=complex)
+                e[a, b], e[b, a] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+                elems.append(e)
+    return elems
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("p,q", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3)])
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3), (4, 6)])
 def test_hessian_blocks_match_trace_formula(field, p, q):
+    """The block-elimination Newton step solves the dense Newton system.
+
+    The dense system is assembled over an orthonormal basis B_k of the
+    block-diagonal matrices from the trace formula Re tr(M B_k M B_l),
+    M = G^-1, plus the slack barrier on the diagonal entries and t, at a
+    random interior point.
+    """
     complex_field = field == "complex"
+    n = p + q
     rng = np.random.default_rng(10 * p + q)
-    m = random_hermitian(rng, p + q)
-    if not complex_field:
-        m = m.real
-    basis_p = _herm_basis(p, 0, complex_field)
-    basis_q = _herm_basis(q, p, complex_field)
-    for basis, side in ((basis_p, p), (basis_q, q)):
-        elems = [_basis_element(basis, k, p + q) for k in range(basis[0].size)]
-        assert len(elems) == (side * side if complex_field else side * (side + 1) // 2)
-        gram = [[np.trace(a.conj().T @ b).real for b in elems] for a in elems]
-        np.testing.assert_allclose(gram, np.eye(len(elems)), atol=1e-15)
-    for k_basis, l_basis in ((basis_p, basis_p), (basis_q, basis_q), (basis_p, basis_q)):
-        brute = [
-            [
-                np.trace(m @ _basis_element(k_basis, k, p + q)
-                         @ m @ _basis_element(l_basis, l, p + q)).real
-                for l in range(l_basis[0].size)
-            ]
-            for k in range(k_basis[0].size)
-        ]
-        np.testing.assert_allclose(_hess_block(m, k_basis, l_basis), brute, atol=1e-12)
+    z = random_complex(rng, (n, n)) if complex_field else rng.standard_normal((n, n))
+    g = z @ z.conj().T + 0.5 * np.eye(n)
+    t = float(np.max(np.diag(g).real)) + 0.7
+    m = np.linalg.inv(g)
+    slack = t - np.diag(g).real
+    mu = 0.3
+
+    basis = (_hermitian_basis(p, 0, n, complex_field)
+             + _hermitian_basis(q, p, n, complex_field))
+    assert len(basis) == (p * p + q * q if complex_field else (p * (p + 1) + q * (q + 1)) // 2)
+    gram = [[np.trace(a.conj().T @ b).real for b in basis] for a in basis]
+    np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-15)
+
+    k = len(basis)
+    diags = np.array([np.diag(b).real for b in basis])  # (k, n)
+    hess = np.zeros((k + 1, k + 1))
+    hess[:k, :k] = [[np.trace(m @ a @ m @ b).real for b in basis] for a in basis]
+    hess[:k, :k] += diags @ np.diag(slack**-2) @ diags.T
+    hess[:k, k] = hess[k, :k] = -diags @ slack**-2
+    hess[k, k] = np.sum(slack**-2)
+    grad = np.zeros(k + 1)  # of t + mu * (-logdet G - sum log slacks)
+    grad[:k] = mu * (diags @ (1.0 / slack) - [np.trace(m @ b).real for b in basis])
+    grad[k] = 1.0 - mu * np.sum(1.0 / slack)
+    step = np.linalg.solve(mu * hess, -grad)
+    dense_dg = np.tensordot(step[:k], np.array(basis), axes=1)
+
+    dg, dt, decrement = _newton_step(g, np.linalg.cholesky(g), m, slack, mu, p)
+    scale = np.abs(dense_dg).max()
+    np.testing.assert_allclose(dg, dense_dg, rtol=0.0, atol=1e-10 * scale)
+    assert dt == pytest.approx(step[k], rel=1e-10)
+    assert decrement == pytest.approx(-grad @ step, rel=1e-10)
 
 
 @pytest.mark.parametrize(
-    "s",
-    [np.tril(np.ones((16, 16))), random_complex(np.random.default_rng(8), (8, 8))],
-    ids=["real16", "complex8"],
+    "s,limit",
+    [
+        (np.tril(np.ones((16, 16))), 2.5e6),
+        (random_complex(np.random.default_rng(8), (8, 8)), 2.5e6),
+        (np.random.default_rng(32).standard_normal((32, 32)), 4e6),
+    ],
+    ids=["real16", "complex8", "real32"],
 )
-def test_solver_memory_peak_stays_small(s):
-    # The solver peaks near 1.45 MB (real16) and 0.56 MB (complex8) here.
-    # Per-solve k-by-k gather-index or weight tables (k = n(n+1)/2 basis
-    # elements per block) took the real16 peak to about 4.1 MB.
+def test_solver_memory_peak_stays_small(s, limit):
+    # The block-elimination step keeps no k-by-k array (k = n(n+1)/2 basis
+    # elements per block): the peaks are near 0.4 MB (real16), 0.15 MB
+    # (complex8) and 1.9 MB (real32) here, against 1.4, 0.55 and 18.6 MB
+    # with a dense Newton system.
     tracemalloc.start()
     try:
         solve_gamma2_sdp(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5e6
+    assert peak < limit
