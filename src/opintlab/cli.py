@@ -44,7 +44,7 @@ from .norms import (
     trilinear_factor_norm,
 )
 from .opint import doi_apply, doi_via_toi, moi_apply, toi_apply
-from .sdp import GAP_TOL, solve_gamma2_sdp
+from .sdp import GAP_TOL, MAX_SIDE, solve_gamma2_sdp
 from .symbols import SymbolGrid, grid_from_json, sup_norm
 from .linalg import NORMALITY_TOL
 
@@ -357,11 +357,19 @@ def cmd_verify_main(args):
     return outcome, outcome["passed"]
 
 
+def _check_example_size(n: int) -> None:
+    """Reject n before the examples allocate their n^3 grids: both solve
+    n-by-n slices, which the dense solver caps at 2n <= MAX_SIDE."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if 2 * n > MAX_SIDE:
+        raise BudgetExceeded(f"n = {n} exceeds the dense solver budget 2n <= {MAX_SIDE}")
+
+
 def run_example_ex1(n: int, seed: int = DEFAULT_SEED) -> dict:
     """Grid constant along its first axis: the transform is X times a
     Schur multiplier of Y, and the trace-output norm is the largest entry."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_example_size(n)
     rng = np.random.default_rng([seed, 1])
     s = rng.uniform(-1.0, 1.0, size=(n, n))
     ops = (_diag_op(n), _diag_op(n), _diag_op(n))
@@ -400,8 +408,7 @@ def run_example_ex2(n: int, seed: int = DEFAULT_SEED, growth_sizes=(2, 4, 8, 16)
     sup norm 1, and the factorization norm of the lower-triangular all-ones
     matrix grows strictly with its size.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_example_size(n)
     canonical = np.array([[1.0, 1.0], [1.0, -1.0]])
     canon_grid = _embed_middle_slice(canonical, 2)
     canon_value = trilinear_factor_norm(canon_grid)[0].value
@@ -449,9 +456,7 @@ def cmd_peller(args):
     op_a = _load_operator(args.op_a)
     op_b = _load_operator(args.op_b)
     psi = _load_grid(args.grid)
-    est = doi_s1_norm(
-        op_a, op_b, psi, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
-    )
+    est = doi_s1_norm(op_a, op_b, psi)
     upper = est.upper_certificate
     gap = _rel_gap(upper, est.value)
 
@@ -559,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
 
     add("peller", cmd_peller, "trace-to-trace sandwich for one symbol", grid2,
-        seed=True, restarts=True, tol=AGREEMENT_TOL)
+        seed=True, tol=AGREEMENT_TOL)
     return parser
 
 

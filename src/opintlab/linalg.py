@@ -45,6 +45,21 @@ def as_matrix(data, *, square: bool = False) -> np.ndarray:
     return mat
 
 
+def divide_by_largest(values: np.ndarray):
+    """``(top, values / top)`` with ``top`` the largest entry modulus, or
+    ``(0.0, values)`` if there is none.  Norms computed on the quotient and
+    multiplied back by ``top`` have tolerances relative to it.  Real and
+    imaginary parts are divided separately: complex division by a subnormal
+    ``top`` overflows."""
+    top = float(np.max(np.abs(values))) if values.size else 0.0
+    if top == 0.0:
+        return 0.0, values
+    data = values.real / top
+    if np.any(values.imag != 0.0):
+        data = data + 1j * (values.imag / top)
+    return top, data
+
+
 @dataclass(frozen=True, eq=False)
 class NormalOperator:
     """A normal matrix together with certified spectral data.
@@ -107,10 +122,13 @@ def normal_eig(matrix, normality_tol: float = NORMALITY_TOL) -> NormalOperator:
     eigensolves are ever performed.
 
     Raises:
+        ValueError: when ``normality_tol`` is negative or not finite.
         NotSquare: on rectangular input.
         NotNormal: when ||M M* - M* M||_2 > normality_tol * ||M||_2**2.
         EigFailure: if the underlying Hermitian eigensolver fails.
     """
+    if not 0.0 <= normality_tol < np.inf:
+        raise ValueError(f"normality_tol must be finite and non-negative, got {normality_tol}")
     mat = as_matrix(matrix, square=True)
     dim = mat.shape[0]
     adj = mat.conj().T

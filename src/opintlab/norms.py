@@ -5,14 +5,18 @@ Three norms are computed for the transform attached to an order-3 symbol:
 * as a bilinear map on pairs of Hilbert-Schmidt matrices with a
   Hilbert-Schmidt-norm output it is an exact supremum (the transform acts
   entrywise in the rotated bases, so the norm is the sup norm of the grid);
-* with a trace-norm output, lower bounds come from a multi-start
+* with a trace-norm output, lower bounds come from a seeded multi-start
   block-coordinate ascent over (X, Y, Z) and upper bounds from the
   factorization norms of the grid's middle slices;
-* for the two-operator transform, trace-to-trace norms are sandwiched the
-  same way, with the factorization norm of the full grid as the upper side.
+* for the two-operator transform, the trace-to-trace norm is a concave
+  maximization over rank-one arguments, so one seedless run of the same
+  ascent from the uniform rank-one start gives the lower side and the
+  factorization norm of the full grid the upper side.
 
-Lower bounds are always reported as lower bounds; upper certificates come
-from the semidefinite solver and are correct up to its duality gap.
+The ascent works on the values divided by their largest modulus, so its
+results do not depend on the scale of the data.  Lower bounds are always
+reported as lower bounds; upper certificates come from the semidefinite
+solver and are correct up to its duality gap.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPsd, ShapeMismatch
-from .linalg import NormalOperator, as_matrix
+from .linalg import NormalOperator, as_matrix, divide_by_largest
 from .opint import check_grid_ops
 from .sdp import GAP_TOL, MAX_ITER, solve_gamma2_sdp
 from .symbols import SymbolGrid, middle_slices, sup_norm
@@ -119,11 +123,6 @@ def s2s2_to_s2_norm(
     )
 
 
-def _unit_gaussians(rng, shape) -> np.ndarray:
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z / max(np.linalg.norm(z), _ZERO_NORM)
-
-
 def _polar_batch(t: np.ndarray):
     """Batched trace-norm ascent partner: Z with tr(T Z) = ||T||_1 per batch."""
     u, sv, vh = np.linalg.svd(t, full_matrices=False)
@@ -144,23 +143,20 @@ def _renormalize(batch: np.ndarray, old: np.ndarray):
     return out, norms, ok
 
 
-def _ascent_trilinear(values: np.ndarray, restarts: int, max_iter: int, seed: int):
-    """Multi-start alternating ascent for the trace-norm output, batched.
+def _ascent_trilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iter: int):
+    """Alternating ascent for the trace-norm output from the unit-norm starts
+    ``xs``, ``ys`` (one per restart), returning the best restart.
 
-    Works in the rotated bases (the value is basis independent).  Each sweep
-    updates Z by the trace-norm polar step, then X and Y by normalizing the
-    linear representative of the objective; the objective never decreases.
-    Restart r draws its start from a generator seeded with seed XOR r.
+    Works in the rotated bases (the value is basis independent) on
+    ``values`` divided by their largest modulus, so the settle test and the
+    zero-update cutoff are relative; the value is multiplied back.  Each
+    sweep updates Z by the trace-norm polar step, then X and Y by
+    normalizing the linear representative of the objective; the objective
+    never decreases.
     """
-    da, db, dc = values.shape
-    xs = np.stack(
-        [_unit_gaussians(np.random.default_rng(seed ^ r), (da, db)) for r in range(restarts)]
-    )
-    ys = np.stack(
-        [_unit_gaussians(np.random.default_rng((seed ^ r) + 1), (db, dc)) for r in range(restarts)]
-    )
-    vals = np.zeros(restarts)
-    settled = np.zeros(restarts, dtype=bool)
+    top, values = divide_by_largest(values)
+    vals = np.zeros(xs.shape[0])
+    settled = np.zeros(xs.shape[0], dtype=bool)
     for _ in range(max_iter):
         t = np.einsum("ikj,rik,rkj->rij", values, xs, ys)
         z, _ = _polar_batch(t)
@@ -181,7 +177,7 @@ def _ascent_trilinear(values: np.ndarray, restarts: int, max_iter: int, seed: in
         xs[best],
         ys[best],
         z[best],
-        float(final_vals[best]),
+        top * float(final_vals[best]),
         bool(settled[best]),
     )
 
@@ -198,16 +194,23 @@ def s1_bilinear_norm_lower(
     """Lower bound on the trace-norm-output norm of the order-3 transform.
 
     Maximizes |tr(transform(X, Y) Z)| over unit Hilbert-Schmidt X, Y and
-    operator-norm contractions Z by block-coordinate ascent with ``restarts``
-    independently seeded starts.  The reported value is always a valid lower
-    bound; pair it with :func:`trilinear_factor_norm` for the upper side.
+    operator-norm contractions Z by block-coordinate ascent from
+    ``restarts`` complex Gaussian starts, drawn from one generator seeded
+    with ``seed``; restart r takes the r-th block of draws, so it does not
+    depend on how many follow.  The value is always a valid lower bound;
+    pair it with :func:`trilinear_factor_norm` for the upper side.
     """
     check_grid_ops(phi, (op_a, op_b, op_c))
     if restarts < 1:
         raise ValueError("need at least one restart")
-    xr, yr, zr, value, settled = _ascent_trilinear(
-        phi.values, restarts, max_iter, seed
-    )
+    da, db, dc = phi.shape
+    draws = np.random.default_rng(seed).standard_normal((restarts, 2, da * db + db * dc))
+    starts = draws[:, 0] + 1j * draws[:, 1]
+    xs = starts[:, : da * db].reshape(restarts, da, db)
+    ys = starts[:, da * db :].reshape(restarts, db, dc)
+    xs /= np.linalg.norm(xs, axis=(1, 2), keepdims=True)
+    ys /= np.linalg.norm(ys, axis=(1, 2), keepdims=True)
+    xr, yr, zr, value, settled = _ascent_trilinear(phi.values, xs, ys, max_iter)
     ua, ub, uc = op_a.eigenbasis, op_b.eigenbasis, op_c.eigenbasis
     witness = {
         "X": ua @ xr @ ub.conj().T,
@@ -309,25 +312,26 @@ def doi_s1_norm(
     op_a: NormalOperator,
     op_b: NormalOperator,
     psi: SymbolGrid,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_SWEEPS,
-    seed: int = DEFAULT_SEED,
     gap_tol: float = GAP_TOL,
 ) -> NormEstimate:
     """Trace-to-trace norm of the two-operator transform, sandwiched.
 
-    The lower bound searches over rank-one arguments (the extreme points of
-    the trace-norm ball): it is the trilinear ascent on the grid with a
-    middle axis of length one, whose column X and row Y are u and v* of the
-    rank-one argument u v*.  The upper certificate is the factorization norm of the grid, whose Gram
-    matrix is returned as ``witness["gram"]``; the two agree up to solver gap
-    plus ascent optimality.
+    The norm is attained on rank-one arguments u v* and equals the
+    factorization norm of the grid, the maximum over probability vectors
+    (a, b) of ||D_a^1/2 psi D_b^1/2||_1, a concave function of (a, b).  So
+    the lower bound is one seedless run of the trilinear ascent on the grid
+    with a middle axis of length one (column X = u, row Y = v*), from the
+    uniform start and capped at DEFAULT_SWEEPS sweeps.  The upper
+    certificate is the factorization norm, whose Gram matrix is returned as
+    ``witness["gram"]``; the two agree up to solver gap plus ascent
+    optimality.
     """
     check_grid_ops(psi, (op_a, op_b))
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    n_a, n_b = op_a.dim, op_b.dim
+    xs = np.full((1, n_a, 1), 1.0 / np.sqrt(n_a), dtype=np.complex128)
+    ys = np.full((1, 1, n_b), 1.0 / np.sqrt(n_b), dtype=np.complex128)
     xr, yr, zr, value, settled = _ascent_trilinear(
-        psi.values[:, None, :], restarts, max_iter, seed
+        psi.values[:, None, :], xs, ys, DEFAULT_SWEEPS
     )
     sol = solve_gamma2_sdp(psi.values, gap_tol=gap_tol)
     ua, ub = op_a.eigenbasis, op_b.eigenbasis
@@ -342,7 +346,7 @@ def doi_s1_norm(
         value=value,
         witness=witness,
         upper_certificate=float(sol.value),
-        restarts_used=restarts,
+        restarts_used=1,
         converged=settled,
     )
 

@@ -45,9 +45,22 @@ def check_grid_ops(grid: SymbolGrid, ops) -> None:
             )
 
 
-def _check_arg(x: np.ndarray, rows: int, cols: int, name: str) -> None:
-    if x.shape != (rows, cols):
-        raise ShapeMismatch(f"{name} must have shape ({rows}, {cols}), got {x.shape}")
+def _check_chain(ops, args, grid: SymbolGrid | None = None) -> None:
+    """Check, in this order, the argument count (n operators, n-1 arguments),
+    the order 2 <= n <= MAX_ORDER, the grid when given, and argument shapes."""
+    n = len(ops)
+    if len(args) != n - 1:
+        raise ShapeMismatch(f"got {n} operators but {len(args)} arguments")
+    if n < 2 or n > MAX_ORDER:
+        raise OrderTooLarge(f"order {n} outside the supported range [2, {MAX_ORDER}]")
+    if grid is not None:
+        check_grid_ops(grid, ops)
+    for m, arg in enumerate(args):
+        rows, cols = ops[m].dim, ops[m + 1].dim
+        if arg.shape != (rows, cols):
+            raise ShapeMismatch(
+                f"argument {m} must have shape ({rows}, {cols}), got {arg.shape}"
+            )
 
 
 def apply_function(op: NormalOperator, values) -> np.ndarray:
@@ -68,9 +81,7 @@ def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     allocates only the rotated arguments and the output, never an
     intermediate of grid size.
     """
-    check_grid_ops(grid, ops)
-    for m, arg in enumerate(args):
-        _check_arg(arg, ops[m].dim, ops[m + 1].dim, f"argument {m}")
+    _check_chain(ops, args, grid)
     rotated = [
         ops[m].eigenbasis.conj().T @ arg @ ops[m + 1].eigenbasis
         for m, arg in enumerate(args)
@@ -105,14 +116,7 @@ def moi_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     matrices where args[m] maps between the spaces of ops[m+1] and ops[m].
     The contraction allocates only the rotated arguments and the output.
     """
-    ops = list(ops)
-    args = [as_matrix(a) for a in args]
-    n = len(ops)
-    if len(args) != n - 1:
-        raise ShapeMismatch(f"got {n} operators but {len(args)} arguments")
-    if n < 2 or n > MAX_ORDER:
-        raise OrderTooLarge(f"order {n} outside the supported range [2, {MAX_ORDER}]")
-    return _chain_apply(ops, grid, args)
+    return _chain_apply(list(ops), grid, [as_matrix(a) for a in args])
 
 
 def separable_apply(ops, terms, args) -> np.ndarray:
@@ -125,13 +129,8 @@ def separable_apply(ops, terms, args) -> np.ndarray:
     """
     ops = list(ops)
     args = [as_matrix(a) for a in args]
+    _check_chain(ops, args)
     n = len(ops)
-    if len(args) != n - 1:
-        raise ShapeMismatch(f"got {n} operators but {len(args)} arguments")
-    if n < 2 or n > MAX_ORDER:
-        raise OrderTooLarge(f"order {n} outside the supported range [2, {MAX_ORDER}]")
-    for m, arg in enumerate(args):
-        _check_arg(arg, ops[m].dim, ops[m + 1].dim, f"argument {m}")
     out = np.zeros((ops[0].dim, ops[-1].dim), dtype=np.complex128)
     for term in terms:
         factors = list(term)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .linalg import as_matrix
+from .linalg import as_matrix, divide_by_largest
 
 GAP_TOL = 1e-7
 MAX_ITER = 300
@@ -340,16 +340,11 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
         )
     if not 0.0 < gap_tol < np.inf:
         raise ValueError(f"gap_tol must be positive and finite, got {gap_tol}")
-    top = float(np.max(np.abs(sm))) if sm.size else 0.0
+    top, data = divide_by_largest(sm)
     if top == 0.0:
         zeros = np.zeros((p_dim + q_dim, p_dim + q_dim), dtype=np.complex128)
         return SdpSolution(value=0.0, gram=zeros, duality_gap=0.0, iterations=0,
                            status="Optimal")
-
-    # Real division: complex division by a subnormal ``top`` overflows.
-    data = sm.real / top
-    if np.any(sm.imag != 0.0):
-        data = data + 1j * (sm.imag / top)
     p, q, value, gap, iters, status = _solve(data, gap_tol, max_iter)
     return SdpSolution(
         value=float(top * value),

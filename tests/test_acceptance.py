@@ -172,7 +172,7 @@ def test_criterion_06_trace_norm_sandwich_two_operators():
         op_b = random_normal_operator(rng, 3)
         values = rng.standard_normal((3, 3))
         psi = _grid_on((op_a, op_b), values)
-        est = doi_s1_norm(op_a, op_b, psi, restarts=64, seed=trial)
+        est = doi_s1_norm(op_a, op_b, psi)
         upper = est.upper_certificate
         gap = (upper - est.value) / max(upper, 1e-30)
         worst_gap = max(worst_gap, gap)

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,13 +278,33 @@ def test_peller_sandwich(tmp_path, capsys):
     code, doc = _run_json(
         capsys,
         ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1],
-         "--grid", grid_path, "--restarts", "32"],
+         "--grid", grid_path],
     )
     assert code == 0
     out = doc["outputs"]
     assert out["lower"] <= out["upper"] + 1e-9
     assert out["rel_gap"] <= 1e-3
     assert out["passed"] is True
+
+
+def test_peller_bounds_do_not_depend_on_seed(tmp_path, capsys):
+    # The ascent is seedless; --seed only draws the reduction check's inputs.
+    op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [4, 4], seed=12)
+    argv = ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1], "--grid", grid_path]
+    first, *others = [
+        _run_json(capsys, argv + ["--seed", seed])[1]["outputs"]
+        for seed in ("1", "2", "1000")
+    ]
+    for out in others:
+        for key in ("lower", "upper", "converged"):
+            assert out[key] == first[key]
+
+
+def test_peller_rejects_ascent_flags(tmp_path, capsys):
+    op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2])
+    argv = ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1], "--grid", grid_path]
+    assert main(argv + ["--restarts", "4"]) == 1
+    assert main(argv + ["--max-iter", "4"]) == 1
 
 
 def test_peller_solves_the_sdp_once(tmp_path, capsys, monkeypatch):
@@ -300,7 +321,7 @@ def test_peller_solves_the_sdp_once(tmp_path, capsys, monkeypatch):
     code, doc = _run_json(
         capsys,
         ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1],
-         "--grid", grid_path, "--restarts", "32"],
+         "--grid", grid_path],
     )
     assert code == 0
     assert doc["outputs"]["factor_residual"] <= 1e-5
@@ -339,8 +360,8 @@ def _envelope_case(tmp_path, command):
         "verify-main": (["verify-main", "--trials", "1", "--restarts", "8"], {}),
         "examples ex1": (["examples", "ex1", "--n", "2"], {}),
         "examples ex2": (["examples", "ex2", "--n", "2"], {}),
-        "peller": (["peller", "--op-a", a, "--op-b", b, "--grid", psi,
-                    "--restarts", "16"], {"op_a": a, "op_b": b, "grid": psi}),
+        "peller": (["peller", "--op-a", a, "--op-b", b, "--grid", psi],
+                   {"op_a": a, "op_b": b, "grid": psi}),
     }
     argv, files = cases[command]
     if command in SEEDED:
@@ -411,9 +432,12 @@ def test_csv_rejected_outside_verify_main(tmp_path, capsys):
         ["verify-main", "--trials", "1", "--tol", "nan"],
         ["peller", "--op-a", "OP_A", "--op-b", "OP_B", "--grid", "GRID", "--tol", "-1"],
         ["peller", "--op-a", "OP_A", "--op-b", "OP_B", "--grid", "GRID", "--tol", "nan"],
+        ["eig", "MATRIX", "--tol", "nan"],
+        ["eig", "MATRIX", "--tol", "inf"],
+        ["eig", "MATRIX", "--tol", "-1"],
     ],
     ids=["ex1-n0", "ex2-n0", "gamma2-nan", "gamma2-inf", "verify-neg", "verify-nan",
-         "peller-neg", "peller-nan"],
+         "peller-neg", "peller-nan", "eig-nan", "eig-inf", "eig-neg"],
 )
 def test_rejected_arguments_exit_one(tmp_path, capsys, argv):
     op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2])
@@ -425,6 +449,20 @@ def test_rejected_arguments_exit_one(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("opintlab: error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("which", ["ex1", "ex2"])
+def test_examples_reject_large_n_before_allocating(capsys, which):
+    # n = 129 needs 2n = 258 > MAX_SIDE; the n^3 grids must not be built first.
+    tracemalloc.start()
+    try:
+        code = main(["examples", which, "--n", "129"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err.startswith("opintlab: error: ")
+    assert peak < 5e6
 
 
 def test_unwritable_out_path_exits_one(tmp_path, capsys):

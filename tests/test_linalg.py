@@ -93,6 +93,14 @@ def test_eig_tolerance_override():
         normal_eig(m, normality_tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0], ids=["nan", "inf", "neg"])
+def test_eig_rejects_bad_tolerance(tol):
+    # Checked before any work: a NaN or infinite tolerance would pass any
+    # matrix through the normality gate, a negative one would fail every matrix.
+    with pytest.raises(ValueError, match="normality_tol"):
+        normal_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), normality_tol=tol)
+
+
 def test_from_eigensystem_preserves_order():
     lam = np.array([3.0, -1.0, 2.0])
     op = NormalOperator.from_eigensystem(lam)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opintlab import (
+    NormalOperator,
     SymbolGrid,
     doi_apply,
     doi_s1_norm,
@@ -102,6 +103,23 @@ def test_lower_bound_is_seed_deterministic():
     np.testing.assert_array_equal(a.witness["X"], b.witness["X"])
 
 
+def test_ascent_builds_one_generator_per_call(monkeypatch):
+    calls = []
+    make = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    ops, grid = _instance((2, 3, 2), seed=6)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    s1_bilinear_norm_lower(*ops, grid, restarts=8, seed=42)
+    assert len(calls) == 1
+    psi = SymbolGrid(axes=grid.axes[::2], values=np.asarray(grid.values)[:, 0, :])
+    doi_s1_norm(ops[0], ops[2], psi)
+    assert len(calls) == 1
+
+
 def test_lower_bound_rejects_zero_restarts():
     ops, grid = _instance((2, 2, 2), seed=7)
     with pytest.raises(ValueError):
@@ -171,7 +189,7 @@ def test_doi_sandwich():
         axes=(op_a.eigenvalues, op_b.eigenvalues),
         values=rng.standard_normal((3, 3)).astype(complex),
     )
-    est = doi_s1_norm(op_a, op_b, psi, restarts=48, seed=2)
+    est = doi_s1_norm(op_a, op_b, psi)
     assert est.upper_certificate is not None
     assert est.value <= est.upper_certificate + 1e-9
     assert est.upper_certificate - est.value <= 1e-5 * max(1.0, est.value)
@@ -192,9 +210,58 @@ def test_doi_identity_symbol_has_unit_norm():
         axes=(op_a.eigenvalues, op_b.eigenvalues),
         values=np.ones((4, 4), dtype=complex),
     )
-    est = doi_s1_norm(op_a, op_b, ones, restarts=16, seed=0)
+    est = doi_s1_norm(op_a, op_b, ones)
     assert est.value == pytest.approx(1.0, abs=1e-6)
     assert est.upper_certificate == pytest.approx(1.0, abs=1e-6)
+
+
+def test_doi_lower_bound_is_deterministic():
+    rng = np.random.default_rng(17)
+    op_a = random_normal_operator(rng, 4)
+    op_b = random_normal_operator(rng, 3)
+    psi = SymbolGrid(
+        axes=(op_a.eigenvalues, op_b.eigenvalues),
+        values=rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)),
+    )
+    first = doi_s1_norm(op_a, op_b, psi)
+    second = doi_s1_norm(op_a, op_b, psi)
+    assert first.value == second.value
+    assert first.restarts_used == 1
+    for name in ("X", "Z"):
+        np.testing.assert_array_equal(first.witness[name], second.witness[name])
+
+
+# ---------------------------------------------------------------------------
+# the ascent is scale free: the same start on values / max|values|
+
+
+def _diag_ops(dims):
+    return [NormalOperator.from_eigensystem(np.arange(d, dtype=float)) for d in dims]
+
+
+def _ascent_values_at(scale):
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((4, 4))
+    phi = rng.standard_normal((3, 2, 3))
+    two, three = _diag_ops((4, 4)), _diag_ops((3, 2, 3))
+    doi = doi_s1_norm(
+        *two, SymbolGrid(axes=tuple(op.eigenvalues for op in two), values=psi * scale)
+    )
+    tri = s1_bilinear_norm_lower(
+        *three, SymbolGrid(axes=tuple(op.eigenvalues for op in three), values=phi * scale)
+    )
+    return doi, tri
+
+
+@pytest.mark.parametrize(
+    "scale", [1e-8, 1e-150, 2.0**-1030, 1e150], ids=["1e-8", "1e-150", "2^-1030", "1e150"]
+)
+def test_ascent_lower_bounds_do_not_depend_on_scale(scale):
+    base = _ascent_values_at(1.0)
+    scaled = _ascent_values_at(scale)
+    for ref, est in zip(base, scaled):
+        assert est.value / scale == pytest.approx(ref.value, rel=1e-9)
+        assert est.converged == ref.converged
 
 
 # ---------------------------------------------------------------------------
