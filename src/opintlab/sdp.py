@@ -16,6 +16,13 @@ The solver is a log-barrier path-following method with exact Newton steps on
 system is solved by block elimination, inverting the log-determinant
 Hessian on the two diagonal blocks in closed form and the slack barrier
 through a bordered (p+q+1)-square system, in O((p+q)^2 q^2) work per step.
+The barrier weight enters that system only through one right-hand-side
+entry, so it is factored once per iterate: the same factorization ends one
+barrier level and starts the next, whose first step is the tangent
+predictor along the central path (the Newton step scaled by the weight
+ratio).  Predictor steps count as Newton steps.  A step whose local norm
+lies inside the Dikin ellipsoid is taken without a step-length eigenvalue
+solve, since it cannot leave the cone.
 The data is first divided by its largest entry, which the norm scales with,
 so the duality-gap tolerance is relative to max_ij |S_ij|.
 
@@ -60,7 +67,8 @@ class SdpSolution:
     gram: the (p+q)-square Hermitian block matrix [[P, S], [S*, Q]] realizing
         ``value``; positive semidefinite with row norms bounded by ``value``.
     duality_gap: ``value`` minus the best verified dual lower bound.
-    iterations: total Newton steps taken.
+    iterations: total Newton steps taken, the tangent predictor step that
+        opens each barrier level after the first included.
     status: "Optimal" (gap within tolerance) or "MaxIter".
     """
 
@@ -88,75 +96,105 @@ def _barrier(g: np.ndarray, t: float):
     return chol, -2.0 * np.sum(np.log(np.diag(chol).real)) - np.sum(np.log(slacks))
 
 
-def _inverse(chol: np.ndarray):
-    """Inverse Cholesky factor L^-1 of G = L L* and M = G^-1 = L^-* L^-1."""
-    linv = np.linalg.inv(chol)
-    return linv, linv.conj().T @ linv
+class _NewtonSystem:
+    """The Newton system of the barrier problem at one point, factored once.
 
-
-def _newton_step(g: np.ndarray, chol: np.ndarray, m: np.ndarray, slack: np.ndarray,
-                 mu: float, ph: int):
-    """Newton direction (dG, dt) of the barrier problem and its decrement.
-
-    ``chol`` is the Cholesky factor of G, ``m`` is G^-1 and ``slack`` holds
-    t - G_ii.  The Hessian of -logdet on the block-diagonal directions is
-    L0(dG) = Pi_bd(M dG M); solve L0(dG) = blkdiag(E1, E2).  With
-    A = M11^-1 = P - S Q^-1 S* and F = M21 M11^-1 = -Q^-1 S*, the P block
-    gives dP = A E1 A - F* dQ F and the Q block then reads
-    M22 dQ M22 - N dQ N = E2 - F E1 F*, N = M22 - Q^-1.
-    From the SVD Lq^-1 L22 = U diag(sqrt(nu)) Z* (Q = Lq Lq*, L22 the
-    trailing block of chol), W = L22 Z has W* M22 W = I and
+    ``chol`` is the Cholesky factor of G and ``t`` the epigraph variable;
+    ``linv`` = L^-1 and ``m`` = G^-1 = L^-* L^-1 are kept for the step
+    length and the dual certificate.  The Hessian of -logdet on the
+    block-diagonal directions is L0(dG) = Pi_bd(M dG M); solve
+    L0(dG) = blkdiag(E1, E2).  With A = M11^-1 = P - S Q^-1 S* and
+    F = M21 M11^-1 = -Q^-1 S*, the P block gives dP = A E1 A - F* dQ F and
+    the Q block then reads M22 dQ M22 - N dQ N = E2 - F E1 F*,
+    N = M22 - Q^-1.  From the SVD Lq^-1 L22 = U diag(sqrt(nu)) Z* (Q = Lq Lq*,
+    L22 the trailing block of chol), W = L22 Z has W* M22 W = I and
     W* N W = I - diag(nu), which inverts L0 in closed form; 1 - lam_i lam_j
     is formed from nu, so no cancellation occurs as G nears singularity.
     The slack barrier only touches the p+q diagonal entries and t, so the
     full system reduces to a bordered (p+q+1)-square one in the diagonal
     multipliers u and dt, whose matrix T = diag o L0^-1 o Diag is formed
-    from H = W* [F | I].
+    from H = W* [F | I].  The barrier weight enters only the last entry of
+    its right-hand side and the decrement, so everything else is computed
+    here and :meth:`step` is cheap for any weight.
     """
-    n = g.shape[0]
-    lq_inv = np.linalg.inv(np.linalg.cholesky(g[ph:, ph:]))
-    y = lq_inv @ g[ph:, :ph]
-    a = g[:ph, :ph] - y.conj().T @ y
-    f = -lq_inv.conj().T @ y
-    l22 = chol[ph:, ph:]
-    _, sv, zh = np.linalg.svd(lq_inv @ l22)
-    w = l22 @ zh.conj().T
-    wh = w.conj().T
-    nu = sv**2
-    damp = 1.0 / (nu[:, None] + nu[None, :] * (1.0 - nu[:, None]))
 
-    def l0_inv(e):
+    def __init__(self, g: np.ndarray, chol: np.ndarray, t: float, ph: int):
+        n = g.shape[0]
+        slack = t - np.diag(g).real  # t - P_ii, then t - Q_jj
+        linv = np.linalg.inv(chol)
+        m = linv.conj().T @ linv
+        lq_inv = np.linalg.inv(np.linalg.cholesky(g[ph:, ph:]))
+        y = lq_inv @ g[ph:, :ph]
+        a = g[:ph, :ph] - y.conj().T @ y
+        f = -lq_inv.conj().T @ y
+        l22 = chol[ph:, ph:]
+        _, sv, zh = np.linalg.svd(lq_inv @ l22)
+        w = l22 @ zh.conj().T
+        wh = w.conj().T
+        nu = sv**2
+        damp = 1.0 / (nu[:, None] + nu[None, :] * (1.0 - nu[:, None]))
+
+        diag = np.diag_indices(n)
+        r = m.copy()
+        r[:ph, ph:] = 0.0
+        r[ph:, :ph] = 0.0
+        r[diag] -= 1.0 / slack
+
+        h = np.hstack([wh @ f, wh])
+        pairs = (h[:, None, :] * h.conj()[None, :, :]).reshape(-1, n)
+        sign = np.ones(n)
+        sign[:ph] = -1.0
+        bordered = np.ones((n + 1, n + 1))
+        bordered[:n, :n] = ((pairs * damp.reshape(-1, 1)).T @ pairs.conj()).real
+        bordered[:n, :n] *= np.outer(sign, sign)
+        bordered[:ph, :ph] += np.abs(a) ** 2
+        bordered[diag] += slack**2
+        bordered[n, n] = 0.0
+
+        self.ph, self.slack, self.linv, self.m = ph, slack, linv, m
+        self.a, self.f, self.w, self.wh, self.damp = a, f, w, wh, damp
+        self.r, self.bordered = r, bordered
+        self.diag_l0_inv_r = np.diag(self._l0_inv(r)).real
+
+    def _l0_inv(self, e: np.ndarray) -> np.ndarray:
+        ph, a, f, w, wh = self.ph, self.a, self.f, self.w, self.wh
         e1 = e[:ph, :ph]
-        dq = w @ ((wh @ (e[ph:, ph:] - f @ e1 @ f.conj().T) @ w) * damp) @ wh
+        dq = w @ ((wh @ (e[ph:, ph:] - f @ e1 @ f.conj().T) @ w) * self.damp) @ wh
         out = np.zeros_like(e)
         out[:ph, :ph] = a @ e1 @ a - f.conj().T @ dq @ f
         out[ph:, ph:] = dq
         return out
 
-    diag = np.diag_indices(n)
-    r = m.copy()
-    r[:ph, ph:] = 0.0
-    r[ph:, :ph] = 0.0
-    r[diag] -= 1.0 / slack
+    def step(self, mu: float):
+        """Newton direction (dG, dt) of the barrier problem at weight ``mu``
+        and its decrement."""
+        n = self.slack.size
+        inv_slack_sum = np.sum(1.0 / self.slack)
+        rhs = np.append(self.diag_l0_inv_r, 1.0 / mu - inv_slack_sum)
+        sol = np.linalg.solve(self.bordered, rhs)
+        dg = self._l0_inv(self.r - np.diag(sol[:n]))
+        dg = (dg + dg.conj().T) / 2.0
+        dt = float(sol[n])
+        decrement = mu * float(np.vdot(self.r, dg).real) - (1.0 - mu * inv_slack_sum) * dt
+        return dg, dt, decrement
 
-    h = np.hstack([wh @ f, wh])
-    pairs = (h[:, None, :] * h.conj()[None, :, :]).reshape(-1, n)
-    sign = np.ones(n)
-    sign[:ph] = -1.0
-    bordered = np.ones((n + 1, n + 1))
-    bordered[:n, :n] = ((pairs * damp.reshape(-1, 1)).T @ pairs.conj()).real
-    bordered[:n, :n] *= np.outer(sign, sign)
-    bordered[:ph, :ph] += np.abs(a) ** 2
-    bordered[diag] += slack**2
-    bordered[n, n] = 0.0
-    rhs = np.append(np.diag(l0_inv(r)).real, 1.0 / mu - np.sum(1.0 / slack))
-    sol = np.linalg.solve(bordered, rhs)
+    def max_step(self, dg: np.ndarray, dt: float) -> float:
+        """Largest step along (dG, dt) that keeps G positive definite and
+        every slack positive."""
+        lam_min = float(np.linalg.eigvalsh(self.linv @ dg @ self.linv.conj().T)[0])
+        smax = np.inf if lam_min >= -1e-300 else 1.0 / (-lam_min)
+        dslack = dt - np.diag(dg).real
+        shrink = dslack < 0.0
+        if np.any(shrink):
+            smax = min(smax, float(np.min(self.slack[shrink] / -dslack[shrink])))
+        return smax
 
-    dg = l0_inv(r - np.diag(sol[:n]))
-    dg = (dg + dg.conj().T) / 2.0
-    dt = float(sol[n])
-    decrement = mu * float(np.vdot(r, dg).real) - (1.0 - mu * np.sum(1.0 / slack)) * dt
-    return dg, dt, decrement
+
+def _factor(g: np.ndarray, chol: np.ndarray, t: float, ph: int) -> _NewtonSystem:
+    try:
+        return _NewtonSystem(g, chol, t, ph)
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown("Newton system is singular") from None
 
 
 def _verified_dual_bound(s: np.ndarray, z: np.ndarray) -> float:
@@ -228,6 +266,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     g = _gram(s, c0 * np.eye(ph, dtype=s.dtype), c0 * np.eye(qh, dtype=s.dtype))
     t = 2.0 * c0
     chol, phi = _barrier(g, t)  # the barrier value at weight mu is t + mu * phi
+    system = _factor(g, chol, t, ph)
 
     mu = max(1.0, snorm)
     newton_used = 0
@@ -235,6 +274,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     best_blocks = None
     best_lower = -np.inf
     centers = deque(maxlen=3)  # (mu, stacked [G, Z]) at the last centered weights
+    start = 1.0  # initial step size of the line search
 
     while True:
         # Center at the current barrier weight.  The decrement threshold
@@ -245,10 +285,8 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
         for _ in range(_INNER_CAP):
             if newton_used >= max_iter:
                 break
-            linv, minv = _inverse(chol)
-            slack = t - np.diag(g).real  # t - P_ii, then t - Q_jj
             try:
-                dg, dt, decrement = _newton_step(g, chol, minv, slack, mu, ph)
+                dg, dt, decrement = system.step(mu)
             except np.linalg.LinAlgError:
                 raise NumericalBreakdown("Newton system is singular") from None
             if not (np.isfinite(decrement) and np.all(np.isfinite(dg))):
@@ -256,15 +294,12 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
             if decrement <= threshold:
                 break
 
-            # Largest feasible step: stay in the positive cone ...
-            lam_min = float(np.linalg.eigvalsh(linv @ dg @ linv.conj().T)[0])
-            smax = np.inf if lam_min >= -1e-300 else 1.0 / (-lam_min)
-            # ... and keep the diagonal slacks positive.
-            dslack = dt - np.diag(dg).real
-            shrink = dslack < 0.0
-            if np.any(shrink):
-                smax = min(smax, float(np.min(slack[shrink] / -dslack[shrink])))
-            size = min(1.0, _FRAC_TO_BOUNDARY * smax)
+            # The step's local norm is sqrt(decrement / mu).  Inside the Dikin
+            # ellipsoid of the self-concordant barrier the largest feasible
+            # step exceeds 1 / _FRAC_TO_BOUNDARY, so the cap cannot bind.
+            size = start
+            if decrement >= _FRAC_TO_BOUNDARY**2 * mu:
+                size = min(size, _FRAC_TO_BOUNDARY * system.max_step(dg, dt))
 
             # dG vanishes off the diagonal blocks, so every candidate keeps S.
             fval = t + mu * phi
@@ -280,14 +315,16 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
             if not accepted:
                 break  # no further progress at this weight
             g, t, chol, phi = cand_g, cand_t, cand_chol, cand_phi
+            system = _factor(g, chol, t, ph)
             newton_used += 1
+            start = 1.0
 
         # Harvest certificates from this center and from extrapolations of
         # the recent centers toward weight zero (centers are first-order in
         # the weight, so linear extrapolation is second-order and the
         # three-point variant third-order; every candidate is re-verified,
         # so a poor extrapolation only wastes the attempt).
-        centers.append((mu, np.stack([g, mu * _inverse(chol)[1]])))
+        centers.append((mu, np.stack([g, mu * system.m])))
         candidates = [centers[-1][1]]
         if len(centers) >= 2:
             mu_prev, prev = centers[-2]
@@ -315,7 +352,11 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
         if newton_used >= max_iter or mu < _MU_FLOOR:
             status = "MaxIter"
             break
+        # At a center, the Newton step toward the weight _MU_SHRINK * mu is
+        # 1 / _MU_SHRINK times the tangent step along the central path, so
+        # the next level's first step is that tangent predictor.
         mu *= _MU_SHRINK
+        start = _MU_SHRINK
 
     if best_blocks is None:  # pragma: no cover - initial point always verifies
         raise NumericalBreakdown("no feasible iterate was certified")
