@@ -14,9 +14,11 @@ Three norms are computed for the transform attached to an order-3 symbol:
   factorization norm of the full grid the upper side.
 
 The ascent works on the values divided by their largest modulus, so its
-results do not depend on the scale of the data.  Lower bounds are always
-reported as lower bounds; upper certificates come from the semidefinite
-solver and are correct up to its duality gap.
+results do not depend on the scale of the data.  Each restart sweeps until
+it settles and then leaves the batch, so it follows the same path alone as
+among others, and more restarts never lower the bound.  Lower bounds are
+always reported as lower bounds; upper certificates come from the
+semidefinite solver and are correct up to its duality gap.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class NormEstimate:
     witness: named matrices achieving ``value`` when re-evaluated.
     upper_certificate: optional upper bound from a factorization certificate.
     restarts_used: number of ascent restarts behind the value (0 if exact).
-    converged: False when the best restart was still improving at the sweep
-        cap; the value is then still a valid lower bound.
+    converged: False when the best restart reached the sweep cap without
+        settling; the value is then still a valid lower bound.
     """
 
     value: float
@@ -152,30 +154,38 @@ def _ascent_trilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_it
     zero-update cutoff are relative; the value is multiplied back.  Each
     sweep updates Z by the trace-norm polar step, then X and Y by
     normalizing the linear representative of the objective; the objective
-    never decreases.
+    never decreases.  A restart leaves the batch after the first sweep that
+    gains at most ``_SWEEP_TOL`` relative, and later sweeps run on the
+    others only, so each restart follows the path it would follow alone.
     """
     top, values = divide_by_largest(values)
-    vals = np.zeros(xs.shape[0])
+    x_out, y_out = np.empty_like(xs), np.empty_like(ys)
     settled = np.zeros(xs.shape[0], dtype=bool)
+    active = np.arange(xs.shape[0])
+    xa, ya, vals = xs, ys, np.zeros(xs.shape[0])
     for _ in range(max_iter):
-        t = np.einsum("ikj,rik,rkj->rij", values, xs, ys)
+        t = np.einsum("ikj,rik,rkj->rij", values, xa, ya)
         z, _ = _polar_batch(t)
-        wx = np.einsum("ikj,rkj,rji->rik", values, ys, z)
-        xs, _, _ = _renormalize(wx.conj(), xs)
-        wy = np.einsum("ikj,rik,rji->rkj", values, xs, z)
-        ys, new_vals, ok = _renormalize(wy.conj(), ys)
+        wx = np.einsum("ikj,rkj,rji->rik", values, ya, z)
+        xa, _, _ = _renormalize(wx.conj(), xa)
+        wy = np.einsum("ikj,rik,rji->rkj", values, xa, z)
+        ya, new_vals, ok = _renormalize(wy.conj(), ya)
         new_vals = np.where(ok, new_vals, vals)
-        gain = new_vals - vals
-        settled = gain <= _SWEEP_TOL * np.maximum(1.0, new_vals)
+        done = new_vals - vals <= _SWEEP_TOL * np.maximum(1.0, new_vals)
         vals = new_vals
-        if settled.all():
-            break
-    t = np.einsum("ikj,rik,rkj->rij", values, xs, ys)
+        if done.any():
+            x_out[active], y_out[active], settled[active] = xa, ya, done
+            keep = ~done
+            active, xa, ya, vals = active[keep], xa[keep], ya[keep], vals[keep]
+            if not active.size:
+                break
+    x_out[active], y_out[active] = xa, ya
+    t = np.einsum("ikj,rik,rkj->rij", values, x_out, y_out)
     z, final_vals = _polar_batch(t)
     best = int(np.argmax(final_vals))
     return (
-        xs[best],
-        ys[best],
+        x_out[best],
+        y_out[best],
         z[best],
         top * float(final_vals[best]),
         bool(settled[best]),
@@ -203,6 +213,8 @@ def s1_bilinear_norm_lower(
     check_grid_ops(phi, (op_a, op_b, op_c))
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_iter < 1:
+        raise ValueError(f"need at least one sweep, got {max_iter}")
     da, db, dc = phi.shape
     draws = np.random.default_rng(seed).standard_normal((restarts, 2, da * db + db * dc))
     starts = draws[:, 0] + 1j * draws[:, 1]

@@ -435,14 +435,24 @@ def test_csv_rejected_outside_verify_main(tmp_path, capsys):
         ["eig", "MATRIX", "--tol", "nan"],
         ["eig", "MATRIX", "--tol", "inf"],
         ["eig", "MATRIX", "--tol", "-1"],
+        ["norm-s1", "--op-a", "OP3_A", "--op-b", "OP3_B", "--op-c", "OP3_C", "--grid", "GRID3",
+         "--max-iter", "0"],
+        ["norm-s1", "--op-a", "OP3_A", "--op-b", "OP3_B", "--op-c", "OP3_C", "--grid", "GRID3",
+         "--max-iter", "-3"],
+        ["verify-main", "--dims", "2,2,2", "--trials", "1", "--max-iter", "0"],
+        ["verify-main", "--dims", "2,2,2", "--trials", "1", "--max-iter", "-3"],
     ],
     ids=["ex1-n0", "ex2-n0", "gamma2-nan", "gamma2-inf", "verify-neg", "verify-nan",
-         "peller-neg", "peller-nan", "eig-nan", "eig-inf", "eig-neg"],
+         "peller-neg", "peller-nan", "eig-nan", "eig-inf", "eig-neg", "norm-s1-sweeps0",
+         "norm-s1-sweeps-neg", "verify-sweeps0", "verify-sweeps-neg"],
 )
 def test_rejected_arguments_exit_one(tmp_path, capsys, argv):
     op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2])
+    (tmp_path / "three").mkdir()
+    op3_paths, grid3_path, _, _ = _normal_ops_and_grid(tmp_path / "three", [2, 2, 2])
     files = {"MATRIX": _matrix_file(tmp_path, "m.json", [[2.0]]), "OP_A": op_paths[0],
-             "OP_B": op_paths[1], "GRID": grid_path}
+             "OP_B": op_paths[1], "GRID": grid_path, "OP3_A": op3_paths[0],
+             "OP3_B": op3_paths[1], "OP3_C": op3_paths[2], "GRID3": grid3_path}
     code = main([files.get(arg, arg) for arg in argv])
     captured = capsys.readouterr()
     assert code == 1

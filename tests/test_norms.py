@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from opintlab import norms
 from opintlab import (
     NormalOperator,
     SymbolGrid,
@@ -91,8 +92,53 @@ def test_lower_bound_more_restarts_never_worse():
     ops, grid = _instance((2, 2, 2), seed=5, complex_entries=False)
     few = s1_bilinear_norm_lower(*ops, grid, restarts=1, seed=3)
     many = s1_bilinear_norm_lower(*ops, grid, restarts=16, seed=3)
-    assert many.value >= few.value - 1e-14
+    assert many.value >= few.value
     assert many.restarts_used == 16
+
+
+def _unit_starts(dims, restarts, seed):
+    rng = np.random.default_rng(seed)
+    da, db, dc = dims
+    xs = rng.standard_normal((restarts, da, db)) + 1j * rng.standard_normal((restarts, da, db))
+    ys = rng.standard_normal((restarts, db, dc)) + 1j * rng.standard_normal((restarts, db, dc))
+    xs /= np.linalg.norm(xs, axis=(1, 2), keepdims=True)
+    ys /= np.linalg.norm(ys, axis=(1, 2), keepdims=True)
+    return xs, ys
+
+
+def test_restarts_do_not_depend_on_the_batch():
+    _, grid = _instance((3, 2, 3), seed=8)
+    xs, ys = _unit_starts(grid.shape, 16, seed=9)
+    batch = norms._ascent_trilinear(grid.values, xs, ys, 500)
+    alone = [
+        norms._ascent_trilinear(grid.values, xs[r : r + 1], ys[r : r + 1], 500)
+        for r in range(16)
+    ]
+    best = max(alone, key=lambda result: result[3])
+    assert batch[3] == best[3]
+    np.testing.assert_array_equal(batch[0], best[0])
+    assert batch[4] == best[4]
+
+
+def test_settled_restarts_leave_the_batch(monkeypatch):
+    # Each restart sweeps until it settles, then only the final polar step
+    # sees it again: the batch does the work of its restarts run alone.
+    _, grid = _instance((3, 2, 3), seed=8)
+    xs, ys = _unit_starts(grid.shape, 16, seed=9)
+    polar = norms._polar_batch
+    seen = []
+
+    def counting_polar(t):
+        seen.append(t.shape[0])
+        return polar(t)
+
+    monkeypatch.setattr(norms, "_polar_batch", counting_polar)
+    norms._ascent_trilinear(grid.values, xs, ys, 500)
+    batch_total = sum(seen)
+    seen.clear()
+    for r in range(16):
+        norms._ascent_trilinear(grid.values, xs[r : r + 1], ys[r : r + 1], 500)
+    assert batch_total == sum(seen)
 
 
 def test_lower_bound_is_seed_deterministic():
