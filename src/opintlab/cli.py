@@ -1,9 +1,13 @@
 """Command-line interface.
 
-Every subcommand reads JSON inputs (dense complex matrices and symbol value
-grids), runs one computation, and emits a run report: command, input file
-digests, outputs, stage timings, seed and tool version.  Reports go to
-stdout or to --out as JSON; verify-main can emit its trial table as CSV.
+Every subcommand declares its JSON input files (dense complex matrices,
+normal operators and symbol value grids).  The shared runner reads each
+declared file once, hashes and parses those same bytes, and hands the
+parsed objects to the subcommand, which only computes.  The run report
+holds the command, the sha256 of each input's bytes, outputs, stage
+timings, seed and tool version.  Reports go to stdout or to --out as
+strict JSON (no NaN or infinity); verify-main can emit its trial table as
+CSV.
 
 Exit status: 0 when all checks pass, 2 when a numerical check or tolerance
 fails, 1 on usage or parse errors.
@@ -24,7 +28,9 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceeded, NotNormal, OpintError, ParseError
 from .linalg import (
+    NORMALITY_TOL,
     NormalOperator,
+    divide_by_largest,
     matrix_from_json,
     matrix_to_json,
     normal_eig,
@@ -46,7 +52,6 @@ from .norms import (
 from .opint import doi_apply, doi_via_toi, moi_apply, toi_apply
 from .sdp import GAP_TOL, MAX_SIDE, solve_gamma2_sdp
 from .symbols import SymbolGrid, grid_from_json, sup_norm
-from .linalg import NORMALITY_TOL
 
 _VERIFY_DIM_CAP = 4
 
@@ -59,65 +64,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            digest.update(handle.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return digest.hexdigest()
-
-
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    return matrix_from_json(_read_json(path))
-
-
-def _load_operator(path: str, tol: float = NORMALITY_TOL) -> NormalOperator:
-    return normal_eig(_load_matrix(path), normality_tol=tol)
-
-
-def _load_grid(path: str) -> SymbolGrid:
-    return grid_from_json(_read_json(path))
+def _relative(residual, reference) -> float:
+    """||residual||_2 / ||reference||_2, or ||residual||_2 when the reference
+    vanishes.  Each norm is taken on its argument divided by its largest
+    entry modulus, so neither under- nor overflows at any scale."""
+    top_res, res = divide_by_largest(np.asarray(residual))
+    top_ref, ref = divide_by_largest(np.asarray(reference))
+    if top_ref == 0.0:
+        return top_res * float(np.linalg.norm(res))
+    return top_res / top_ref * float(np.linalg.norm(res) / np.linalg.norm(ref))
 
 
 def _operator_to_json(op: NormalOperator) -> dict:
-    mat = op.matrix
-    adj = mat.conj().T
-    scale = max(float(np.linalg.norm(mat)), 1e-300)
+    _, unit = divide_by_largest(op.matrix)
+    adj = unit.conj().T
+    recon = op.eigenbasis @ (op.eigenvalues[:, None] * op.eigenbasis.conj().T)
     return {
         "dim": op.dim,
         "eigenvalues_re": op.eigenvalues.real.tolist(),
         "eigenvalues_im": op.eigenvalues.imag.tolist(),
         "eigenbasis": matrix_to_json(op.eigenbasis),
         "residuals": {
-            "normality": float(np.linalg.norm(mat @ adj - adj @ mat)) / scale**2,
+            "normality": _relative(unit @ adj - adj @ unit, unit)
+            / (float(np.linalg.norm(unit)) or 1.0),
             "orthonormality": float(
                 np.linalg.norm(op.eigenbasis @ op.eigenbasis.conj().T - np.eye(op.dim))
             ),
-            "reconstruction": float(
-                np.linalg.norm(
-                    op.eigenbasis @ (op.eigenvalues[:, None] * op.eigenbasis.conj().T)
-                    - mat
-                )
-            )
-            / scale,
+            "reconstruction": _relative(recon - op.matrix, op.matrix),
         },
     }
-
-
-def _rel_gap(upper: float, lower: float) -> float:
-    return abs(upper - lower) / max(abs(upper), 1e-12)
 
 
 def _diag_op(dim: int) -> NormalOperator:
@@ -139,25 +114,20 @@ def _random_grid(rng, dims, complex_entries: bool) -> SymbolGrid:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each loads its inputs, computes, and returns (outputs, passed)
+# subcommands: each computes on its parsed inputs and returns (outputs, passed)
 
 
 def cmd_eig(args):
-    mat = _load_matrix(args.matrix)
     try:
-        op = normal_eig(mat, normality_tol=args.tol)
+        op = normal_eig(args.matrix, normality_tol=args.tol)
     except NotNormal as exc:
         return {"error": "NotNormal", "message": str(exc)}, False
     return _operator_to_json(op), True
 
 
 def cmd_doi(args):
-    op_a = _load_operator(args.op_a)
-    op_b = _load_operator(args.op_b)
-    psi = _load_grid(args.grid)
-    x = _load_matrix(args.x)
-    result = doi_apply(op_a, op_b, psi, x)
-    bound = sup_norm(psi) * schatten_norm(x, 2)
+    result = doi_apply(args.op_a, args.op_b, args.grid, args.x)
+    bound = sup_norm(args.grid) * schatten_norm(args.x, 2)
     out_norm = schatten_norm(result, 2)
     bound_ok = bool(out_norm <= bound + 1e-10)
     return {
@@ -168,14 +138,8 @@ def cmd_doi(args):
 
 
 def cmd_toi(args):
-    op_a = _load_operator(args.op_a)
-    op_b = _load_operator(args.op_b)
-    op_c = _load_operator(args.op_c)
-    phi = _load_grid(args.grid)
-    x = _load_matrix(args.x)
-    y = _load_matrix(args.y)
-    result = toi_apply(op_a, op_b, op_c, phi, x, y)
-    bound = sup_norm(phi) * schatten_norm(x, 2) * schatten_norm(y, 2)
+    result = toi_apply(args.op_a, args.op_b, args.op_c, args.grid, args.x, args.y)
+    bound = sup_norm(args.grid) * schatten_norm(args.x, 2) * schatten_norm(args.y, 2)
     out_norm = schatten_norm(result, 2)
     bound_ok = bool(out_norm <= bound + 1e-10)
     return {
@@ -187,22 +151,14 @@ def cmd_toi(args):
 
 
 def cmd_moi(args):
-    ops = [_load_operator(p) for p in args.op]
-    grid = _load_grid(args.grid)
-    mats = [_load_matrix(p) for p in args.arg]
-    result = moi_apply(ops, grid, mats)
+    result = moi_apply(args.op, args.grid, args.arg)
     return {"result": matrix_to_json(result), "result_s2": schatten_norm(result, 2)}, True
 
 
 def cmd_norm_s2(args):
-    op_a = _load_operator(args.op_a)
-    op_b = _load_operator(args.op_b)
-    op_c = _load_operator(args.op_c)
-    phi = _load_grid(args.grid)
-    est = s2s2_to_s2_norm(op_a, op_b, op_c, phi)
-    achieved = schatten_norm(
-        toi_apply(op_a, op_b, op_c, phi, est.witness["X"], est.witness["Y"]), 2
-    )
+    ops = (args.op_a, args.op_b, args.op_c, args.grid)
+    est = s2s2_to_s2_norm(*ops)
+    achieved = schatten_norm(toi_apply(*ops, est.witness["X"], est.witness["Y"]), 2)
     return {
         "estimate": norm_estimate_to_json(est),
         "witness_value": achieved,
@@ -211,32 +167,26 @@ def cmd_norm_s2(args):
 
 
 def cmd_norm_s1(args):
-    op_a = _load_operator(args.op_a)
-    op_b = _load_operator(args.op_b)
-    op_c = _load_operator(args.op_c)
-    phi = _load_grid(args.grid)
+    ops = (args.op_a, args.op_b, args.op_c, args.grid)
     est = s1_bilinear_norm_lower(
-        op_a, op_b, op_c, phi, restarts=args.restarts, max_iter=args.max_iter,
-        seed=args.seed,
+        *ops, restarts=args.restarts, max_iter=args.max_iter, seed=args.seed
     )
     reeval = abs(
-        trace_pairing(
-            toi_apply(op_a, op_b, op_c, phi, est.witness["X"], est.witness["Y"]),
-            est.witness["Z"],
-        )
+        trace_pairing(toi_apply(*ops, est.witness["X"], est.witness["Y"]), est.witness["Z"])
     )
     return {
         "estimate": norm_estimate_to_json(est),
         "witness_value": reeval,
-        "witness_residual": abs(reeval - est.value) / max(est.value, 1e-12),
+        "witness_residual": _relative(reeval - est.value, est.value),
     }, True
 
 
 def cmd_gamma2(args):
-    mat = _load_matrix(args.matrix)
+    mat = args.matrix
     sol = solve_gamma2_sdp(mat, gap_tol=args.tol)
     p, q = mat.shape
-    evals = np.linalg.eigvalsh((sol.gram + sol.gram.conj().T) / 2.0)
+    top, unit = divide_by_largest(sol.gram)
+    min_eig = top * float(np.linalg.eigvalsh((unit + unit.conj().T) / 2.0)[0])
     diag = np.diag(sol.gram).real
     return {
         "value": sol.value,
@@ -245,7 +195,7 @@ def cmd_gamma2(args):
         "status": sol.status,
         "gram": matrix_to_json(sol.gram),
         "feasibility": {
-            "min_eigenvalue": float(evals[0]),
+            "min_eigenvalue": min_eig,
             "diag_excess": float(max(0.0, np.max(diag) - sol.value)),
             "data_block_residual": float(np.linalg.norm(sol.gram[:p, p:] - mat)),
         },
@@ -253,13 +203,11 @@ def cmd_gamma2(args):
 
 
 def cmd_factor(args):
-    mat = _load_matrix(args.matrix)
+    mat = args.matrix
     p, q = mat.shape
     sol = solve_gamma2_sdp(mat, gap_tol=args.tol)
     pair = recover_factorization(sol.gram, p, q)
-    recon = pair.reconstruct()
-    scale = max(float(np.linalg.norm(mat)), 1e-300)
-    residual = float(np.linalg.norm(recon - mat)) / scale
+    residual = _relative(pair.reconstruct() - mat, mat)
     return {
         "value": sol.value,
         "duality_gap": sol.duality_gap,
@@ -326,7 +274,7 @@ def run_verify_main(
                 "trial": trial,
                 "lower": lower,
                 "upper": upper,
-                "rel_gap": _rel_gap(upper, lower),
+                "rel_gap": _relative(upper - lower, upper),
             }
         )
     max_gap = max(row["rel_gap"] for row in rows)
@@ -380,7 +328,7 @@ def run_example_ex1(n: int, seed: int = DEFAULT_SEED) -> dict:
     y = rng.uniform(-1.0, 1.0, size=(n, n))
     lhs = toi_apply(*ops, grid, x, y)
     rhs = x @ doi_apply(ops[1], ops[2], schur, y)
-    residual = float(np.linalg.norm(lhs - rhs)) / max(float(np.linalg.norm(lhs)), 1e-300)
+    residual = _relative(lhs - rhs, lhs)
     value = trilinear_factor_norm(grid)[0].value
     expected = float(np.max(np.abs(s)))
     return {
@@ -453,17 +401,13 @@ def cmd_examples(args):
 
 def cmd_peller(args):
     _check_agreement_tol(args.tol)
-    op_a = _load_operator(args.op_a)
-    op_b = _load_operator(args.op_b)
-    psi = _load_grid(args.grid)
+    op_a, op_b, psi = args.op_a, args.op_b, args.grid
     est = doi_s1_norm(op_a, op_b, psi)
     upper = est.upper_certificate
-    gap = _rel_gap(upper, est.value)
+    gap = _relative(upper - est.value, upper)
 
     pair = recover_factorization(est.witness["gram"], op_a.dim, op_b.dim)
-    recon = pair.reconstruct()
-    scale = max(float(np.linalg.norm(psi.values)), 1e-300)
-    recon_residual = float(np.linalg.norm(recon - psi.values)) / scale
+    recon_residual = _relative(pair.reconstruct() - psi.values, psi.values)
 
     rng = np.random.default_rng([args.seed, 3])
     mid = _diag_op(op_a.dim)
@@ -471,9 +415,7 @@ def cmd_peller(args):
     y = rng.uniform(-1.0, 1.0, size=(mid.dim, op_b.dim))
     via = doi_via_toi(op_a, op_b, psi, x, y, mid)
     direct = doi_apply(op_a, op_b, psi, x @ y)
-    reduction_residual = float(np.linalg.norm(via - direct)) / max(
-        float(np.linalg.norm(direct)), 1e-300
-    )
+    reduction_residual = _relative(via - direct, direct)
 
     passed = bool(
         gap <= args.tol
@@ -497,15 +439,43 @@ def cmd_peller(args):
 # parser and the shared report path
 
 
-def _input_paths(args):
-    """(label, path) per declared input file; repeated flags get _0, _1, ..."""
+def _read_inputs(args) -> dict:
+    """Read every declared input file once and return the sha256 of its
+    bytes by report label (repeated flags get _0, _1, ...).
+
+    All files are read, in declaration order, before any is parsed.  The
+    same bytes are then decoded as strict UTF-8 and parsed by name: ``op*``
+    to certified spectral data, ``grid`` to a symbol grid, anything else to
+    a matrix.  Each parsed object replaces its path on ``args``.
+    """
+    blobs = []
     for spec in args.files:
         dest = spec.strip("-*").replace("-", "_")
         value = getattr(args, dest)
-        if isinstance(value, list):
-            yield from ((f"{dest}_{m}", path) for m, path in enumerate(value))
+        repeated = isinstance(value, list)
+        for m, path in enumerate(value if repeated else [value]):
+            try:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+            except OSError as exc:
+                raise ParseError(f"cannot read {path}: {exc}") from exc
+            blobs.append((dest, f"{dest}_{m}" if repeated else dest, path, data))
+    parsed = {}
+    for dest, _, path, data in blobs:
+        try:
+            obj = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        if dest.startswith("op"):
+            obj = normal_eig(matrix_from_json(obj))
+        elif dest == "grid":
+            obj = grid_from_json(obj)
         else:
-            yield dest, value
+            obj = matrix_from_json(obj)
+        parsed.setdefault(dest, []).append(obj)
+    for dest, objs in parsed.items():
+        setattr(args, dest, objs if isinstance(getattr(args, dest), list) else objs[0])
+    return {label: hashlib.sha256(data).hexdigest() for _, label, _, data in blobs}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     """Run one parsed subcommand, write its report, and return the exit code."""
     t0 = time.perf_counter()
-    inputs = {label: _sha256(path) for label, path in _input_paths(args)}
+    inputs = _read_inputs(args)
     outputs, passed = args.func(args)
     timings = {"total": time.perf_counter() - t0, **outputs.pop("timings", {})}
     if getattr(args, "format", "json") == "csv":
@@ -592,7 +562,7 @@ def _run(args) -> int:
             "seed": getattr(args, "seed", None),
             "tool_version": __version__,
         }
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -88,9 +88,13 @@ class NormalOperator:
         ortho = np.linalg.norm(basis @ basis.conj().T - np.eye(dim))
         if ortho > ORTHO_TOL:
             raise ValueError(f"eigenbasis is not unitary (defect {ortho:.3e})")
+        # Checked on the matrix and eigenvalues divided by its largest entry
+        # modulus, so the norms neither under- nor overflow.
+        top, unit = divide_by_largest(mat)
+        if top:
+            eigs = eigs.real / top + 1j * (eigs.imag / top)
         recon = basis @ (eigs[:, None] * basis.conj().T)
-        scale = np.linalg.norm(mat)
-        if np.linalg.norm(recon - mat) > RECON_TOL * max(scale, 1e-300):
+        if not np.linalg.norm(recon - unit) <= RECON_TOL * np.linalg.norm(unit):
             raise ValueError("spectral data does not reconstruct the matrix")
 
     @property
@@ -119,7 +123,8 @@ def normal_eig(matrix, normality_tol: float = NORMALITY_TOL) -> NormalOperator:
     The matrix is split as M = H + iK with H, K Hermitian.  For normal M
     these commute, so H is diagonalized first and K is then diagonalized
     inside each (numerically grouped) eigenspace of H.  Only Hermitian
-    eigensolves are ever performed.
+    eigensolves are ever performed.  All of it runs on M divided by its
+    largest entry modulus, so no norm under- or overflows at any scale.
 
     Raises:
         ValueError: when ``normality_tol`` is negative or not finite.
@@ -131,15 +136,17 @@ def normal_eig(matrix, normality_tol: float = NORMALITY_TOL) -> NormalOperator:
         raise ValueError(f"normality_tol must be finite and non-negative, got {normality_tol}")
     mat = as_matrix(matrix, square=True)
     dim = mat.shape[0]
-    adj = mat.conj().T
-    scale = np.linalg.norm(mat)
-    defect = np.linalg.norm(mat @ adj - adj @ mat)
+    top, unit = divide_by_largest(mat)
+    adj = unit.conj().T
+    scale = np.linalg.norm(unit)
+    defect = np.linalg.norm(unit @ adj - adj @ unit)
     if defect > normality_tol * scale * scale:
         raise NotNormal(
-            f"commutator norm {defect:.3e} exceeds {normality_tol:.1e} * ||M||^2"
+            f"commutator norm {defect:.3e} exceeds {normality_tol:.1e} * ||M||^2 "
+            "(M scaled to largest entry modulus 1)"
         )
-    herm = (mat + adj) / 2.0
-    skew = (mat - adj) / 2.0j
+    herm = (unit + adj) / 2.0
+    skew = (unit - adj) / 2.0j
     try:
         hvals, basis = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -162,22 +169,22 @@ def normal_eig(matrix, normality_tol: float = NORMALITY_TOL) -> NormalOperator:
             basis[:, start:end] = cols @ rot
         start = end
 
-    eigs = np.einsum("ij,jk,ki->i", basis.conj().T, mat, basis)
+    eigs = top * np.einsum("ij,jk,ki->i", basis.conj().T, unit, basis)
     return NormalOperator(matrix=mat, eigenvalues=eigs, eigenbasis=basis)
 
 
 def schatten_norm(matrix, p) -> float:
     """Schatten norm for p in {1, 2, 4} or the operator norm for p="op"."""
-    mat = as_matrix(matrix)
+    top, unit = divide_by_largest(as_matrix(matrix))
     if p == 2:
-        return float(np.linalg.norm(mat))
-    sv = np.linalg.svd(mat, compute_uv=False)
+        return top * float(np.linalg.norm(unit))
+    sv = np.linalg.svd(unit, compute_uv=False)
     if p == 1:
-        return float(sv.sum())
+        return top * float(sv.sum())
     if p == 4:
-        return float(np.sum(sv**4) ** 0.25)
+        return top * float(np.sum(sv**4) ** 0.25)
     if p == "op":
-        return float(sv[0]) if sv.size else 0.0
+        return top * float(sv[0]) if sv.size else 0.0
     raise ValueError(f"unsupported Schatten exponent: {p!r}")
 
 

@@ -441,10 +441,11 @@ def test_csv_rejected_outside_verify_main(tmp_path, capsys):
          "--max-iter", "-3"],
         ["verify-main", "--dims", "2,2,2", "--trials", "1", "--max-iter", "0"],
         ["verify-main", "--dims", "2,2,2", "--trials", "1", "--max-iter", "-3"],
+        ["eig", "NESTED"],
     ],
     ids=["ex1-n0", "ex2-n0", "gamma2-nan", "gamma2-inf", "verify-neg", "verify-nan",
          "peller-neg", "peller-nan", "eig-nan", "eig-inf", "eig-neg", "norm-s1-sweeps0",
-         "norm-s1-sweeps-neg", "verify-sweeps0", "verify-sweeps-neg"],
+         "norm-s1-sweeps-neg", "verify-sweeps0", "verify-sweeps-neg", "eig-nested"],
 )
 def test_rejected_arguments_exit_one(tmp_path, capsys, argv):
     op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2])
@@ -453,12 +454,82 @@ def test_rejected_arguments_exit_one(tmp_path, capsys, argv):
     files = {"MATRIX": _matrix_file(tmp_path, "m.json", [[2.0]]), "OP_A": op_paths[0],
              "OP_B": op_paths[1], "GRID": grid_path, "OP3_A": op3_paths[0],
              "OP3_B": op3_paths[1], "OP3_C": op3_paths[2], "GRID3": grid3_path}
+    files["NESTED"] = str(tmp_path / "nested.json")
+    Path(files["NESTED"]).write_text("[" * 200000)
     code = main([files.get(arg, arg) for arg in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("opintlab: error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"[" * 200000, b'{"rows": 1, "cols": 1, "re": [[1]], "im": [[0]], "note": "\xff"}',
+     b"\xef\xbb\xbf" + json.dumps(matrix_to_json(np.eye(1))).encode()],
+    ids=["nested", "invalid-utf8", "bom"],
+)
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    assert main(["eig", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"opintlab: error: {path} is not valid JSON")
+    assert "Traceback" not in err
+
+
+def test_missing_file_reported_before_malformed_one(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.json", {"rows": 1})
+    missing = str(tmp_path / "missing.json")
+    assert main(["doi", "--op-a", bad, "--op-b", bad, "--grid", bad, "--x", missing]) == 1
+    assert capsys.readouterr().err.startswith(f"opintlab: error: cannot read {missing}")
+
+
+@pytest.mark.parametrize("command", ["toi", "moi"])
+def test_each_input_file_is_opened_once(tmp_path, capsys, monkeypatch, command):
+    # The digest and the parse of each input come from one read of its bytes.
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    argv, files = _envelope_case(tmp_path, command)
+    code, _ = _run_json(capsys, argv)
+    assert code == 0
+    assert sorted(opened) == sorted(files.values())
+
+
+@pytest.mark.parametrize(
+    "command, matrix",
+    [("eig", np.diag([1e-200, -1e-200])), ("eig", [[1e308]]), ("eig", [[1e-320, 0.0], [0.0, 0.0]]),
+     ("gamma2", [[1e308 * (1 + 1j)]])],
+    ids=["eig-tiny", "eig-huge", "eig-subnormal", "gamma2-huge"],
+)
+def test_extreme_scale_reports_are_strict_json(tmp_path, capsys, command, matrix):
+    path = _matrix_file(tmp_path, "m.json", matrix)
+    code, out = _run(capsys, [command, path])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"report holds {constant}")
+
+    doc = json.loads(out, parse_constant=reject)
+    if command == "eig":
+        assert doc["outputs"]["residuals"]["reconstruction"] <= 1e-12
+        assert doc["outputs"]["residuals"]["normality"] <= 1e-12
+    else:
+        value = doc["outputs"]["value"]
+        assert doc["outputs"]["feasibility"]["min_eigenvalue"] >= -1e-8 * value
+
+
+def test_relative_gap_has_no_floor():
+    assert cli._relative(2e-200 - 1e-200, 2e-200) == 0.5
+    assert cli._relative(np.full((2, 2), 1e-200), np.full((2, 2), 4e-200)) == 0.25
+    assert cli._relative(np.full((2, 2), 1e200), np.full((2, 2), 4e200)) == 0.25
+    assert cli._relative(0.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("which", ["ex1", "ex2"])

@@ -101,6 +101,42 @@ def test_eig_rejects_bad_tolerance(tol):
         normal_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), normality_tol=tol)
 
 
+SCALES = [1e-200, 1e-160, 1.0, 1e160, 1e200]
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_eig_rejects_scaled_nilpotent(c):
+    # ||M||^2 under- or overflows at these scales unless the gate runs on M
+    # divided by its largest entry modulus.
+    with pytest.raises(NotNormal):
+        normal_eig(c * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_eig_of_scaled_diagonal(c):
+    op = normal_eig(c * np.diag([1.0, -1.0]))
+    np.testing.assert_allclose(np.sort(op.eigenvalues.real), [-c, c], rtol=1e-12, atol=0.0)
+    assert not np.any(op.eigenvalues.imag)
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_spectral_data_checked_at_any_scale(c):
+    # Zero eigenvalues do not reconstruct c * [[0, 1], [0, 0]] at any c.
+    with pytest.raises(ValueError, match="reconstruct"):
+        NormalOperator(
+            matrix=c * np.array([[0.0, 1.0], [0.0, 0.0]]),
+            eigenvalues=np.zeros(2),
+            eigenbasis=np.eye(2),
+        )
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+@pytest.mark.parametrize("p", [1, 2, 4, "op"])
+def test_schatten_norm_at_extreme_scale(c, p):
+    want = {1: 2.0, 2: np.sqrt(2.0), 4: 2.0**0.25, "op": 1.0}[p]
+    assert schatten_norm(c * np.eye(2), p) == pytest.approx(c * want, rel=1e-15, abs=0.0)
+
+
 def test_from_eigensystem_preserves_order():
     lam = np.array([3.0, -1.0, 2.0])
     op = NormalOperator.from_eigensystem(lam)
