@@ -28,7 +28,6 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     normal_eig,
-    polar_unitary,
     schatten_norm,
     trace_pairing,
 )
@@ -61,7 +60,6 @@ from .symbols import (
     grid_to_json,
     middle_slices,
     pointwise_product,
-    reassemble_middle_slices,
     sup_norm,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "normal_eig",
     "schatten_norm",
     "trace_pairing",
-    "polar_unitary",
     "matrix_to_json",
     "matrix_from_json",
     "SymbolGrid",
@@ -93,7 +90,6 @@ __all__ = [
     "embed_two_to_three",
     "pointwise_product",
     "middle_slices",
-    "reassemble_middle_slices",
     "grid_to_json",
     "grid_from_json",
     "apply_function",

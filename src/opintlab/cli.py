@@ -446,7 +446,8 @@ def _read_inputs(args) -> dict:
     All files are read, in declaration order, before any is parsed.  The
     same bytes are then decoded as strict UTF-8 and parsed by name: ``op*``
     to certified spectral data, ``grid`` to a symbol grid, anything else to
-    a matrix.  Each parsed object replaces its path on ``args``.
+    a matrix; an error raised there keeps its type and names the file.
+    Each parsed object replaces its path on ``args``.
     """
     blobs = []
     for spec in args.files:
@@ -466,12 +467,15 @@ def _read_inputs(args) -> dict:
             obj = json.loads(data.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-        if dest.startswith("op"):
-            obj = normal_eig(matrix_from_json(obj))
-        elif dest == "grid":
-            obj = grid_from_json(obj)
-        else:
-            obj = matrix_from_json(obj)
+        try:
+            if dest.startswith("op"):
+                obj = normal_eig(matrix_from_json(obj))
+            elif dest == "grid":
+                obj = grid_from_json(obj)
+            else:
+                obj = matrix_from_json(obj)
+        except OpintError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         parsed.setdefault(dest, []).append(obj)
     for dest, objs in parsed.items():
         setattr(args, dest, objs if isinstance(getattr(args, dest), list) else objs[0])

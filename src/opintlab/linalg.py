@@ -199,17 +199,6 @@ def trace_pairing(left, right) -> complex:
     return complex(np.einsum("ij,ji->", lm, rm))
 
 
-def polar_unitary(matrix) -> np.ndarray:
-    """The contraction Z maximizing Re tr(M Z) over ||Z||_op <= 1.
-
-    For M = U S V* (singular value decomposition) this is Z = V U*, and
-    tr(M Z) equals the trace norm of M.
-    """
-    mat = as_matrix(matrix, square=True)
-    u, _, vh = np.linalg.svd(mat)
-    return vh.conj().T @ u.conj().T
-
-
 def matrix_to_json(matrix) -> dict:
     """Wire format: {"rows", "cols", "re", "im"} with nested row lists."""
     mat = as_matrix(matrix)

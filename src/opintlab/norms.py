@@ -8,10 +8,10 @@ Three norms are computed for the transform attached to an order-3 symbol:
 * with a trace-norm output, lower bounds come from a seeded multi-start
   block-coordinate ascent over (X, Y, Z) and upper bounds from the
   factorization norms of the grid's middle slices;
-* for the two-operator transform, the trace-to-trace norm is a concave
-  maximization over rank-one arguments, so one seedless run of the same
-  ascent from the uniform rank-one start gives the lower side and the
-  factorization norm of the full grid the upper side.
+* for the two-operator transform, the trace-to-trace norm is the
+  factorization norm of the full grid; one semidefinite solve gives the
+  upper side, and its verified dual weights a rank-one argument for the
+  lower side.
 
 The ascent works on the values divided by their largest modulus, so its
 results do not depend on the scale of the data.  Each restart sweeps until
@@ -46,13 +46,14 @@ _ZERO_NORM = 1e-300
 class NormEstimate:
     """A norm value with the evidence that produced it.
 
-    value: the reported norm (a certified lower bound for ascent-based
-        estimates, the exact or solver value otherwise).
+    value: the reported norm (a certified lower bound for the ascent and
+        for :func:`doi_s1_norm`, the exact or solver value otherwise).
     witness: named matrices achieving ``value`` when re-evaluated.
     upper_certificate: optional upper bound from a factorization certificate.
-    restarts_used: number of ascent restarts behind the value (0 if exact).
+    restarts_used: number of ascent restarts behind the value (0 if none).
     converged: False when the best restart reached the sweep cap without
-        settling; the value is then still a valid lower bound.
+        settling, or a solve stopped short of its gap tolerance; the bounds
+        are then still valid.
     """
 
     value: float
@@ -126,7 +127,8 @@ def s2s2_to_s2_norm(
 
 
 def _polar_batch(t: np.ndarray):
-    """Batched trace-norm ascent partner: Z with tr(T Z) = ||T||_1 per batch."""
+    """The polar step, batched: the contraction Z with tr(T Z) = ||T||_1 for
+    each matrix T of the batch, and those trace norms."""
     u, sv, vh = np.linalg.svd(t, full_matrices=False)
     z = vh.conj().swapaxes(-1, -2) @ u.conj().swapaxes(-1, -2)
     return z, sv.sum(axis=-1)
@@ -258,18 +260,20 @@ def recover_factorization(gram, p: int, q: int) -> FactorizationPair:
     """Split a positive semidefinite Gram block into explicit vector families.
 
     ``gram`` must be (p+q)-square with the factored matrix in its upper-right
-    p-by-q corner.  Eigenvalues below zero are clipped (a NotPsd error is
-    raised if any falls under -1e-8), and rows of the resulting square root
-    give the two families.
+    p-by-q corner.  The work is done on the Gram matrix divided by its
+    largest entry modulus, so it holds at any scale: eigenvalues of that
+    quotient below zero are clipped (a NotPsd error is raised if any falls
+    under -1e-8), and rows of the resulting square root, multiplied back by
+    the square root of the largest modulus, give the two families.
     """
     gm = as_matrix(gram, square=True)
     if gm.shape[0] != p + q:
         raise ShapeMismatch(f"gram must be {(p + q)}-square, got {gm.shape}")
-    gm = (gm + gm.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(gm)
+    top, unit = divide_by_largest(gm)
+    evals, evecs = np.linalg.eigh((unit + unit.conj().T) / 2.0)
     if evals.size and float(evals[0]) < -1e-8:
-        raise NotPsd(f"gram has eigenvalue {evals[0]:.3e} below -1e-8")
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
+        raise NotPsd(f"gram has relative eigenvalue {evals[0]:.3e} below -1e-8")
+    root = np.sqrt(top) * (evecs * np.sqrt(np.clip(evals, 0.0, None)))
     return FactorizationPair(a=root[:p], b=root[p:])
 
 
@@ -329,37 +333,31 @@ def doi_s1_norm(
     """Trace-to-trace norm of the two-operator transform, sandwiched.
 
     The norm is attained on rank-one arguments u v* and equals the
-    factorization norm of the grid, the maximum over probability vectors
-    (a, b) of ||D_a^1/2 psi D_b^1/2||_1, a concave function of (a, b).  So
-    the lower bound is one seedless run of the trilinear ascent on the grid
-    with a middle axis of length one (column X = u, row Y = v*), from the
-    uniform start and capped at DEFAULT_SWEEPS sweeps.  The upper
-    certificate is the factorization norm, whose Gram matrix is returned as
-    ``witness["gram"]``; the two agree up to solver gap plus ascent
-    optimality.
+    factorization norm of the grid, the maximum over unit vectors u, v >= 0
+    of ||D_u psi D_v||_1; this is the dual of the factorization program.
+    One solve gives both sides: the upper certificate is its value, with
+    the Gram matrix returned as ``witness["gram"]``, and the lower bound is
+    ||D_u psi D_v||_1 at the square roots of the solver's dual weights,
+    attained by X = u v* (in the eigenbases) paired with the polar
+    contraction Z.  The two agree up to the solver's duality gap.
     """
     check_grid_ops(psi, (op_a, op_b))
-    n_a, n_b = op_a.dim, op_b.dim
-    xs = np.full((1, n_a, 1), 1.0 / np.sqrt(n_a), dtype=np.complex128)
-    ys = np.full((1, 1, n_b), 1.0 / np.sqrt(n_b), dtype=np.complex128)
-    xr, yr, zr, value, settled = _ascent_trilinear(
-        psi.values[:, None, :], xs, ys, DEFAULT_SWEEPS
-    )
     sol = solve_gamma2_sdp(psi.values, gap_tol=gap_tol)
+    u, v = (np.sqrt(w / np.sum(w)) for w in sol.dual_weights)
+    top, unit = divide_by_largest(psi.values)
+    z, trace_norm = _polar_batch(u[:, None] * unit * v[None, :])
     ua, ub = op_a.eigenbasis, op_b.eigenbasis
-    u_full = ua @ xr[:, 0]
-    v_full = ub @ yr[0].conj()
     witness = {
-        "X": np.outer(u_full, v_full.conj()),
-        "Z": ub @ zr @ ua.conj().T,
+        "X": np.outer(ua @ u, (ub @ v).conj()),
+        "Z": ub @ z @ ua.conj().T,
         "gram": sol.gram,
     }
     return NormEstimate(
-        value=value,
+        value=top * float(trace_norm),
         witness=witness,
         upper_certificate=float(sol.value),
-        restarts_used=1,
-        converged=settled,
+        restarts_used=0,
+        converged=sol.status == "Optimal",
     )
 
 

@@ -70,6 +70,12 @@ class SdpSolution:
     iterations: total Newton steps taken, the tangent predictor step that
         opens each barrier level after the first included.
     status: "Optimal" (gap within tolerance) or "MaxIter".
+    dual_weights: (a, b), the diagonal of the trace-normalized dual matrix
+        behind the best verified lower bound, split into its p and q
+        blocks; with u = sqrt(a) / ||sqrt(a)|| and v = sqrt(b) / ||sqrt(b)||,
+        ||D_u S D_v||_1 is at least ``value - duality_gap``.  Computed on
+        the data divided by its largest entry, so scale free; uniform for
+        the zero matrix.
     """
 
     value: float
@@ -77,6 +83,7 @@ class SdpSolution:
     duality_gap: float
     iterations: int
     status: str
+    dual_weights: tuple
 
 
 def _gram(s: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -197,8 +204,9 @@ def _factor(g: np.ndarray, chol: np.ndarray, t: float, ph: int) -> _NewtonSystem
         raise NumericalBreakdown("Newton system is singular") from None
 
 
-def _verified_dual_bound(s: np.ndarray, z: np.ndarray) -> float:
-    """True lower bound on the optimum from an approximate dual matrix.
+def _verified_dual_bound(s: np.ndarray, z: np.ndarray):
+    """True lower bound on the optimum from an approximate dual matrix, and
+    the diagonal of the verified dual matrix.
 
     The dual cone consists of positive semidefinite matrices whose diagonal
     blocks are diagonal, normalized to unit trace; the bound is
@@ -207,7 +215,7 @@ def _verified_dual_bound(s: np.ndarray, z: np.ndarray) -> float:
     entries of the diagonal blocks are dropped, a ridge covering both the
     projection and eigenvalue roundoff restores positive semidefiniteness,
     and the trace is rescaled.  Weak duality makes the result a valid bound
-    for any input whatsoever.
+    for any input whatsoever.  An unusable candidate gives (-inf, None).
     """
     ph, qh = s.shape
     m = ph + qh
@@ -216,15 +224,17 @@ def _verified_dual_bound(s: np.ndarray, z: np.ndarray) -> float:
     zd[ph:, ph:] = np.diag(np.diag(z[ph:, ph:]))
     zd = (zd + zd.conj().T) / 2.0
     if not np.all(np.isfinite(zd)):
-        return -np.inf
+        return -np.inf, None
     evals = np.linalg.eigvalsh(zd)
     scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
     delta = max(0.0, -float(evals[0])) + _EIG_GUARD * scale
     tau = float(np.trace(zd).real) + delta * m
     if not np.isfinite(tau) or tau <= 1e-300:
-        return -np.inf
+        return -np.inf, None
     value = -2.0 * float(np.sum(zd[:ph, ph:].conj() * s).real) / tau
-    return value if np.isfinite(value) else -np.inf
+    if not np.isfinite(value):
+        return -np.inf, None
+    return value, (np.diag(zd).real + delta) / tau
 
 
 def _verified_primal(s: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -258,7 +268,8 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     """Path-following on the program in the field of ``s`` (real or complex).
 
     Returns the best verified primal blocks, their value, the certified gap,
-    the Newton step count and a status string.
+    the Newton step count, a status string and the dual weights of the best
+    verified lower bound.
     """
     ph, qh = s.shape
     snorm = float(np.linalg.svd(s, compute_uv=False)[0])
@@ -273,6 +284,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     best_upper = np.inf
     best_blocks = None
     best_lower = -np.inf
+    best_weights = np.full(ph + qh, 1.0 / (ph + qh))
     centers = deque(maxlen=3)  # (mu, stacked [G, Z]) at the last centered weights
     start = 1.0  # initial step size of the line search
 
@@ -343,7 +355,9 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
             if verified is not None and verified[2] < best_upper:
                 best_blocks = verified[:2]
                 best_upper = verified[2]
-            best_lower = max(best_lower, _verified_dual_bound(s, cand_z))
+            lower, weights = _verified_dual_bound(s, cand_z)
+            if lower > best_lower:
+                best_lower, best_weights = lower, weights
 
         gap = max(0.0, best_upper - best_lower)
         if gap <= gap_tol:
@@ -360,7 +374,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
 
     if best_blocks is None:  # pragma: no cover - initial point always verifies
         raise NumericalBreakdown("no feasible iterate was certified")
-    return best_blocks[0], best_blocks[1], best_upper, gap, newton_used, status
+    return best_blocks[0], best_blocks[1], best_upper, gap, newton_used, status, best_weights
 
 
 def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
@@ -384,13 +398,15 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
     top, data = divide_by_largest(sm)
     if top == 0.0:
         zeros = np.zeros((p_dim + q_dim, p_dim + q_dim), dtype=np.complex128)
+        weights = np.full(p_dim + q_dim, 1.0 / (p_dim + q_dim))
         return SdpSolution(value=0.0, gram=zeros, duality_gap=0.0, iterations=0,
-                           status="Optimal")
-    p, q, value, gap, iters, status = _solve(data, gap_tol, max_iter)
+                           status="Optimal", dual_weights=(weights[:p_dim], weights[p_dim:]))
+    p, q, value, gap, iters, status, weights = _solve(data, gap_tol, max_iter)
     return SdpSolution(
         value=float(top * value),
         gram=_gram(sm, top * p, top * q),
         duality_gap=float(top * gap),
         iterations=int(iters),
         status=status,
+        dual_weights=(weights[:p_dim], weights[p_dim:]),
     )

@@ -147,15 +147,6 @@ def middle_slices(grid: SymbolGrid) -> list:
     return [grid.values[:, k, :].copy() for k in range(grid.shape[1])]
 
 
-def reassemble_middle_slices(slices, axes) -> SymbolGrid:
-    """Inverse of :func:`middle_slices`: stack matrices along the middle axis."""
-    mats = [np.asarray(s, dtype=np.complex128) for s in slices]
-    if not mats:
-        raise ShapeMismatch("need at least one slice")
-    values = np.stack(mats, axis=1)
-    return SymbolGrid(axes=tuple(axes), values=values)
-
-
 def grid_to_json(grid: SymbolGrid) -> dict:
     """Wire format with flat row-major value lists and explicit axes."""
     return {

@@ -175,6 +175,26 @@ def test_factor_reconstructs(tmp_path, capsys):
     assert out["norm_a"] * out["norm_b"] <= out["value"] + 1e-5
 
 
+@pytest.mark.parametrize(
+    "scale, matrix",
+    [(1e-150, None), (1e150, None), (1e308, [[1 + 1j]])],
+    ids=["1e-150", "1e150", "1x1-1e308"],
+)
+def test_factor_at_any_scale(tmp_path, capsys, scale, matrix):
+    # Each case also runs the unscaled matrix, which it is compared with.
+    base = np.random.default_rng(5).standard_normal((3, 4)) if matrix is None else matrix
+    outs = []
+    for c in (1.0, scale):
+        path = _matrix_file(tmp_path, "s.json", c * np.asarray(base, dtype=complex))
+        code, doc = _run_json(capsys, ["factor", path])
+        assert code == 0
+        outs.append(doc["outputs"])
+    ref, out = outs
+    assert out["value"] / scale == pytest.approx(ref["value"], rel=1e-9)
+    assert out["reconstruction_residual"] <= 1e-12
+    assert out["norm_product"] <= out["value"] * (1.0 + 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # verify-main
 
@@ -288,7 +308,8 @@ def test_peller_sandwich(tmp_path, capsys):
 
 
 def test_peller_bounds_do_not_depend_on_seed(tmp_path, capsys):
-    # The ascent is seedless; --seed only draws the reduction check's inputs.
+    # Both bounds come from one solve; --seed only draws the reduction
+    # check's inputs.
     op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [4, 4], seed=12)
     argv = ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1], "--grid", grid_path]
     first, *others = [
@@ -477,6 +498,26 @@ def test_undecodable_input_is_a_parse_error(tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith(f"opintlab: error: {path} is not valid JSON")
     assert "Traceback" not in err
+
+
+def test_semantic_input_error_names_its_file(tmp_path, capsys):
+    paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, (2, 2))
+    x = _write(tmp_path, "x.json", {"rows": 2, "cols": 2, "re": [[0, 0], [0, 0]]})
+    argv = ["doi", "--op-a", paths[0], "--op-b", paths[1], "--grid", grid_path, "--x", x]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"opintlab: error: {x}: matrix JSON is missing required key 'im'\n"
+
+
+def test_non_normal_operator_names_its_file(tmp_path, capsys):
+    paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, (2, 2))
+    jordan = _matrix_file(tmp_path, "jordan.json", [[1.0, 1.0], [0.0, 1.0]])
+    x = _matrix_file(tmp_path, "x.json", np.eye(2))
+    argv = ["doi", "--op-a", paths[0], "--op-b", jordan, "--grid", grid_path, "--x", x]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"opintlab: error: {jordan}: ")
 
 
 def test_missing_file_reported_before_malformed_one(tmp_path, capsys):

@@ -14,7 +14,6 @@ from opintlab import (
     matrix_from_json,
     matrix_to_json,
     normal_eig,
-    polar_unitary,
     schatten_norm,
     trace_pairing,
 )
@@ -182,13 +181,6 @@ def test_trace_pairing_matches_elementwise_sum():
 def test_trace_pairing_shape_check():
     with pytest.raises(ShapeMismatch):
         trace_pairing(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_polar_unitary_attains_trace_norm():
-    m = random_complex(RNG, (5, 5))
-    z = polar_unitary(m)
-    np.testing.assert_allclose(z @ z.conj().T, np.eye(5), atol=1e-10)
-    assert trace_pairing(m, z).real == pytest.approx(schatten_norm(m, 1), rel=1e-12)
 
 
 def test_matrix_json_round_trip():

@@ -7,6 +7,7 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+from opintlab.norms import NormEstimate
 from opintlab.sdp import SdpSolution
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -23,3 +24,8 @@ def test_traced_functions_exist(monkeypatch):
 def test_sdp_solution_keeps_traced_fields():
     fields = {f.name for f in dataclasses.fields(SdpSolution)}
     assert {"iterations", "status"} <= fields
+
+
+def test_norm_estimate_keeps_traced_fields():
+    fields = {f.name for f in dataclasses.fields(NormEstimate)}
+    assert "converged" in fields
