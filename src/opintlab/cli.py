@@ -129,7 +129,7 @@ def cmd_doi(args):
     result = doi_apply(args.op_a, args.op_b, args.grid, args.x)
     bound = sup_norm(args.grid) * schatten_norm(args.x, 2)
     out_norm = schatten_norm(result, 2)
-    bound_ok = bool(out_norm <= bound + 1e-10)
+    bound_ok = bool(out_norm <= bound * (1.0 + 1e-10))
     return {
         "result": matrix_to_json(result),
         "result_s2": out_norm,
@@ -141,7 +141,7 @@ def cmd_toi(args):
     result = toi_apply(args.op_a, args.op_b, args.op_c, args.grid, args.x, args.y)
     bound = sup_norm(args.grid) * schatten_norm(args.x, 2) * schatten_norm(args.y, 2)
     out_norm = schatten_norm(result, 2)
-    bound_ok = bool(out_norm <= bound + 1e-10)
+    bound_ok = bool(out_norm <= bound * (1.0 + 1e-10))
     return {
         "result": matrix_to_json(result),
         "result_s2": out_norm,
@@ -349,7 +349,7 @@ def _embed_middle_slice(s: np.ndarray, width: int) -> SymbolGrid:
     return SymbolGrid(axes=_diag_axes((n1, width, n3)), values=values)
 
 
-def run_example_ex2(n: int, seed: int = DEFAULT_SEED, growth_sizes=(2, 4, 8, 16)) -> dict:
+def run_example_ex2(n: int, seed: int = DEFAULT_SEED) -> dict:
     """Single-slice grids and the separation between sup and trace norms.
 
     The canonical 2-by-2 sign matrix gives trace-output norm sqrt(2) against
@@ -368,7 +368,7 @@ def run_example_ex2(n: int, seed: int = DEFAULT_SEED, growth_sizes=(2, 4, 8, 16)
     direct_value = solve_gamma2_sdp(s).value
 
     growth = []
-    for size in growth_sizes:
+    for size in (2, 4, 8, 16):
         tri = np.tril(np.ones((size, size)))
         growth.append({"n": size, "value": solve_gamma2_sdp(tri).value})
     increasing = all(
@@ -421,7 +421,7 @@ def cmd_peller(args):
         gap <= args.tol
         and recon_residual <= 1e-5
         and reduction_residual <= 1e-11
-        and pair.norm_a * pair.norm_b <= upper + 1e-5
+        and pair.norm_a * pair.norm_b <= upper * (1.0 + 1e-5)
     )
     return {
         "lower": est.value,

@@ -10,8 +10,8 @@ Three norms are computed for the transform attached to an order-3 symbol:
   factorization norms of the grid's middle slices;
 * for the two-operator transform, the trace-to-trace norm is the
   factorization norm of the full grid; one semidefinite solve gives the
-  upper side, and its verified dual weights a rank-one argument for the
-  lower side.
+  upper side, and the square roots of its dual weights a rank-one argument
+  for the lower side.
 
 The ascent works on the values divided by their largest modulus, so its
 results do not depend on the scale of the data.  Each restart sweeps until
@@ -277,11 +277,7 @@ def recover_factorization(gram, p: int, q: int) -> FactorizationPair:
     return FactorizationPair(a=root[:p], b=root[p:])
 
 
-def trilinear_factor_norm(
-    phi: SymbolGrid,
-    gap_tol: float = GAP_TOL,
-    max_iter: int = MAX_ITER,
-) -> tuple[NormEstimate, FactorizationPair]:
+def trilinear_factor_norm(phi: SymbolGrid) -> tuple[NormEstimate, FactorizationPair]:
     """Trace-norm-output norm of the order-3 transform, by middle-axis slices.
 
     The norm equals the largest factorization norm among the grid's middle
@@ -292,13 +288,8 @@ def trilinear_factor_norm(
     slices = middle_slices(phi)
     n1, n2, n3 = phi.shape
 
-    sols = [
-        solve_gamma2_sdp(mat, gap_tol=gap_tol, max_iter=max_iter) if np.any(mat) else None
-        for mat in slices
-    ]
-    slice_values = np.array(
-        [0.0 if sol is None else sol.value for sol in sols], dtype=float
-    )
+    sols = [solve_gamma2_sdp(mat) if np.any(mat) else None for mat in slices]
+    slice_values = np.array([0.0 if sol is None else sol.value for sol in sols])
     best_k = int(np.argmax(slice_values))
     value = float(slice_values[best_k])
     converged = all(sol is None or sol.status == "Optimal" for sol in sols)
@@ -324,12 +315,7 @@ def trilinear_factor_norm(
     return estimate, FactorizationPair(a=fam_a, b=fam_b)
 
 
-def doi_s1_norm(
-    op_a: NormalOperator,
-    op_b: NormalOperator,
-    psi: SymbolGrid,
-    gap_tol: float = GAP_TOL,
-) -> NormEstimate:
+def doi_s1_norm(op_a: NormalOperator, op_b: NormalOperator, psi: SymbolGrid) -> NormEstimate:
     """Trace-to-trace norm of the two-operator transform, sandwiched.
 
     The norm is attained on rank-one arguments u v* and equals the
@@ -337,13 +323,14 @@ def doi_s1_norm(
     of ||D_u psi D_v||_1; this is the dual of the factorization program.
     One solve gives both sides: the upper certificate is its value, with
     the Gram matrix returned as ``witness["gram"]``, and the lower bound is
-    ||D_u psi D_v||_1 at the square roots of the solver's dual weights,
-    attained by X = u v* (in the eigenbases) paired with the polar
-    contraction Z.  The two agree up to the solver's duality gap.
+    ||D_u psi D_v||_1 at u = sqrt(a), v = sqrt(b) for the solver's dual
+    weights (a, b), the solver's own lower bound re-evaluated, attained by
+    X = u v* (in the eigenbases) paired with the polar contraction Z.  The
+    two agree up to the solver's duality gap.
     """
     check_grid_ops(psi, (op_a, op_b))
-    sol = solve_gamma2_sdp(psi.values, gap_tol=gap_tol)
-    u, v = (np.sqrt(w / np.sum(w)) for w in sol.dual_weights)
+    sol = solve_gamma2_sdp(psi.values)
+    u, v = (np.sqrt(w) for w in sol.dual_weights)
     top, unit = divide_by_largest(psi.values)
     z, trace_norm = _polar_batch(u[:, None] * unit * v[None, :])
     ua, ub = op_a.eigenbasis, op_b.eigenbasis

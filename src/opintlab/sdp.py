@@ -28,12 +28,15 @@ so the duality-gap tolerance is relative to max_ij |S_ij|.
 
 Certification does not rely on the barrier weight reaching zero: every
 centered iterate yields a feasible primal point (ridge-corrected, then
-verified positive semidefinite by explicit eigenvalue bounds) and a feasible
-dual certificate (diagonal blocks forced diagonal, ridge-corrected, verified,
-trace-normalized), and consecutive centers are Richardson-extrapolated toward
-the weight-zero limit to produce sharper candidates that pass through the
-same verification.  Weak duality then makes the reported duality gap a true
-bound on the distance to the optimum, no matter how the iterates were found.
+verified positive semidefinite by explicit eigenvalue bounds) and a lower
+bound.  The optimum is also the largest ||D_sqrt(a) S D_sqrt(b)||_1 over
+probability vectors a and b (the dual of the program), so the diagonal of
+the dual iterate, clipped at zero and normalized block by block, gives a
+lower bound that one SVD evaluates.  Consecutive centers are
+Richardson-extrapolated toward the weight-zero limit to produce sharper
+candidates that pass through the same checks.  The reported duality gap is
+then a true bound on the distance to the optimum, no matter how the iterates
+were found.
 """
 
 from __future__ import annotations
@@ -66,16 +69,17 @@ class SdpSolution:
         verified-feasible primal point found).
     gram: the (p+q)-square Hermitian block matrix [[P, S], [S*, Q]] realizing
         ``value``; positive semidefinite with row norms bounded by ``value``.
-    duality_gap: ``value`` minus the best verified dual lower bound.
+    duality_gap: ``value`` minus the best lower bound, the weighted trace
+        norm ||D_sqrt(a) S D_sqrt(b)||_1 at ``dual_weights`` less a roundoff
+        allowance of 1e-12 times its largest singular value.
     iterations: total Newton steps taken, the tangent predictor step that
         opens each barrier level after the first included.
     status: "Optimal" (gap within tolerance) or "MaxIter".
-    dual_weights: (a, b), the diagonal of the trace-normalized dual matrix
-        behind the best verified lower bound, split into its p and q
-        blocks; with u = sqrt(a) / ||sqrt(a)|| and v = sqrt(b) / ||sqrt(b)||,
-        ||D_u S D_v||_1 is at least ``value - duality_gap``.  Computed on
-        the data divided by its largest entry, so scale free; uniform for
-        the zero matrix.
+    dual_weights: (a, b), nonnegative weights on the p rows and the q
+        columns, each summing to 1, behind the best lower bound:
+        ||D_sqrt(a) S D_sqrt(b)||_1 is at least ``value - duality_gap``.
+        Computed on the data divided by its largest entry, so scale free;
+        uniform per block (1/p and 1/q) for the zero matrix.
     """
 
     value: float
@@ -108,7 +112,7 @@ class _NewtonSystem:
 
     ``chol`` is the Cholesky factor of G and ``t`` the epigraph variable;
     ``linv`` = L^-1 and ``m`` = G^-1 = L^-* L^-1 are kept for the step
-    length and the dual certificate.  The Hessian of -logdet on the
+    length and the dual iterate.  The Hessian of -logdet on the
     block-diagonal directions is L0(dG) = Pi_bd(M dG M); solve
     L0(dG) = blkdiag(E1, E2).  With A = M11^-1 = P - S Q^-1 S* and
     F = M21 M11^-1 = -Q^-1 S*, the P block gives dP = A E1 A - F* dQ F and
@@ -206,35 +210,23 @@ def _factor(g: np.ndarray, chol: np.ndarray, t: float, ph: int) -> _NewtonSystem
 
 def _verified_dual_bound(s: np.ndarray, z: np.ndarray):
     """True lower bound on the optimum from an approximate dual matrix, and
-    the diagonal of the verified dual matrix.
+    the weights behind it.
 
-    The dual cone consists of positive semidefinite matrices whose diagonal
-    blocks are diagonal, normalized to unit trace; the bound is
-    -2 Re sum(conj(Z_12) * S), the pairing of the off-diagonal block with the
-    data.  The candidate is projected onto that structure: off-diagonal
-    entries of the diagonal blocks are dropped, a ridge covering both the
-    projection and eigenvalue roundoff restores positive semidefiniteness,
-    and the trace is rescaled.  Weak duality makes the result a valid bound
-    for any input whatsoever.  An unusable candidate gives (-inf, None).
+    The optimum is the largest ||D_sqrt(a) S D_sqrt(b)||_1 over probability
+    vectors a and b, so any nonnegative weights give a lower bound.  The
+    candidate's diagonal, clipped at zero and divided block by block by its
+    sum, is evaluated with one SVD, less ``_EIG_GUARD`` times the largest
+    singular value for roundoff.  An unusable candidate gives (-inf, None).
     """
-    ph, qh = s.shape
-    m = ph + qh
-    zd = z.copy()
-    zd[:ph, :ph] = np.diag(np.diag(z[:ph, :ph]))
-    zd[ph:, ph:] = np.diag(np.diag(z[ph:, ph:]))
-    zd = (zd + zd.conj().T) / 2.0
-    if not np.all(np.isfinite(zd)):
+    w = np.diag(z).real
+    if not np.all(np.isfinite(w)):
         return -np.inf, None
-    evals = np.linalg.eigvalsh(zd)
-    scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
-    delta = max(0.0, -float(evals[0])) + _EIG_GUARD * scale
-    tau = float(np.trace(zd).real) + delta * m
-    if not np.isfinite(tau) or tau <= 1e-300:
+    a, b = np.split(np.maximum(w, 0.0), [s.shape[0]])
+    if a.sum() <= 0.0 or b.sum() <= 0.0:
         return -np.inf, None
-    value = -2.0 * float(np.sum(zd[:ph, ph:].conj() * s).real) / tau
-    if not np.isfinite(value):
-        return -np.inf, None
-    return value, (np.diag(zd).real + delta) / tau
+    a, b = a / a.sum(), b / b.sum()
+    sv = np.linalg.svd(np.sqrt(a)[:, None] * s * np.sqrt(b)[None, :], compute_uv=False)
+    return float(sv.sum() - _EIG_GUARD * sv[0]), (a, b)
 
 
 def _verified_primal(s: np.ndarray, p: np.ndarray, q: np.ndarray):
@@ -268,8 +260,8 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     """Path-following on the program in the field of ``s`` (real or complex).
 
     Returns the best verified primal blocks, their value, the certified gap,
-    the Newton step count, a status string and the dual weights of the best
-    verified lower bound.
+    the Newton step count, a status string and the dual weights (a, b) of
+    the best lower bound.
     """
     ph, qh = s.shape
     snorm = float(np.linalg.svd(s, compute_uv=False)[0])
@@ -284,7 +276,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     best_upper = np.inf
     best_blocks = None
     best_lower = -np.inf
-    best_weights = np.full(ph + qh, 1.0 / (ph + qh))
+    best_weights = (np.full(ph, 1.0 / ph), np.full(qh, 1.0 / qh))
     centers = deque(maxlen=3)  # (mu, stacked [G, Z]) at the last centered weights
     start = 1.0  # initial step size of the line search
 
@@ -398,9 +390,9 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
     top, data = divide_by_largest(sm)
     if top == 0.0:
         zeros = np.zeros((p_dim + q_dim, p_dim + q_dim), dtype=np.complex128)
-        weights = np.full(p_dim + q_dim, 1.0 / (p_dim + q_dim))
+        weights = (np.full(p_dim, 1.0 / p_dim), np.full(q_dim, 1.0 / q_dim))
         return SdpSolution(value=0.0, gram=zeros, duality_gap=0.0, iterations=0,
-                           status="Optimal", dual_weights=(weights[:p_dim], weights[p_dim:]))
+                           status="Optimal", dual_weights=weights)
     p, q, value, gap, iters, status, weights = _solve(data, gap_tol, max_iter)
     return SdpSolution(
         value=float(top * value),
@@ -408,5 +400,5 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
         duality_gap=float(top * gap),
         iterations=int(iters),
         status=status,
-        dual_weights=(weights[:p_dim], weights[p_dim:]),
+        dual_weights=weights,
     )

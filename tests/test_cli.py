@@ -123,6 +123,35 @@ def test_doi_applies_two_variable_grid(tmp_path, capsys):
     assert doc["outputs"]["result"]["rows"] == 3
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e20, 1e150])
+@pytest.mark.parametrize("command", ["doi", "toi"])
+def test_contraction_bound_holds_at_any_scale(tmp_path, capsys, command, scale):
+    # A grid of constant modulus attains the bound sup|grid| * ||X||_2
+    # (times ||Y||_2 for toi, whose middle axis has length one), so only a
+    # relative slack accepts it at every scale.
+    dims = [4, 4] if command == "doi" else [4, 1, 4]
+    op_paths, _, ops, _ = _normal_ops_and_grid(tmp_path, dims, seed=3)
+    rng = np.random.default_rng(3)
+    values = scale * np.exp(2j * np.pi * rng.uniform(size=dims))
+    grid = SymbolGrid(axes=tuple(op.eigenvalues for op in ops), values=values)
+    grid_path = _write(tmp_path, "grid.json", grid_to_json(grid))
+    argv = [command, "--grid", grid_path]
+    for flag, path in zip(["--op-a", "--op-b", "--op-c"], op_paths):
+        argv += [flag, path]
+    for _ in range(20):
+        x = rng.standard_normal((dims[0], dims[1]))
+        y = rng.standard_normal((dims[1], dims[-1]))
+        args = ["--x", _matrix_file(tmp_path, "x.json", x)]
+        bound = scale * np.linalg.norm(x)
+        if command == "toi":
+            args += ["--y", _matrix_file(tmp_path, "y.json", y)]
+            bound *= np.linalg.norm(y)
+        code, doc = _run_json(capsys, argv + args)
+        assert code == 0
+        assert doc["outputs"]["bound_ok"] is True
+        assert doc["outputs"]["result_s2"] == pytest.approx(bound, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # norms
 

@@ -68,6 +68,18 @@ def _check_certificates(sol, s):
     np.testing.assert_array_equal(gram[:p, p:], s)
     assert np.diag(gram).real.max() <= sol.value + 1e-7
     assert sol.duality_gap >= -1e-9
+    # The lower bound is the weighted trace norm of the dual weights, which
+    # are probability vectors on the rows and on the columns.
+    a, b = sol.dual_weights
+    assert a.shape == (p,) and b.shape == (q,)
+    assert a.min() >= 0.0 and b.min() >= 0.0
+    assert a.sum() == pytest.approx(1.0, abs=1e-14)
+    assert b.sum() == pytest.approx(1.0, abs=1e-14)
+    top = np.abs(s).max()
+    unit = s / top if top > 0.0 else s
+    weighted = np.sqrt(a)[:, None] * unit * np.sqrt(b)[None, :]
+    lower = top * np.linalg.svd(weighted, compute_uv=False).sum()
+    assert lower >= (sol.value - sol.duality_gap) * (1.0 - 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +255,7 @@ def test_wide_input_below_the_precision_floor():
 def test_step_budget():
     """The tangent predictor saves at least 15% of the Newton steps on a
     fixed set of inputs; the same solver starting every line search at the
-    full step took 899 steps on it (this one takes 745)."""
+    full step took 899 steps on it (this one takes 728)."""
     rng = np.random.default_rng(1)
     inputs = [rng.standard_normal((n, n)) for n in (4, 8, 12, 16)]
     inputs += [random_complex(rng, (n, n)) for n in (4, 6, 8)]
@@ -309,6 +321,8 @@ def test_status_and_value_do_not_depend_on_scale(field, scale):
     sol = solve_gamma2_sdp(scale * s)
     assert sol.status == "Optimal"
     assert sol.value / scale == pytest.approx(base.value, rel=1e-9)
+    for w, w_base in zip(sol.dual_weights, base.dual_weights):
+        np.testing.assert_allclose(w, w_base, rtol=0.0, atol=1e-9)
     assert sol.duality_gap / scale <= 1e-7 * np.abs(s).max()
     np.testing.assert_array_equal(sol.gram[:4, 4:], scale * s)
     unit = sol.gram.real / scale + 1j * (sol.gram.imag / scale)
