@@ -162,7 +162,7 @@ def cmd_norm_s2(args):
     return {
         "estimate": norm_estimate_to_json(est),
         "witness_value": achieved,
-        "witness_residual": abs(achieved - est.value),
+        "witness_residual": _relative(achieved - est.value, est.value),
     }, True
 
 

@@ -36,7 +36,8 @@ class OrderTooLarge(OpintError):
 
 
 class NumericalBreakdown(OpintError):
-    """An interior-point linear system could not be solved reliably."""
+    """A computation broke down in floating point: an interior-point linear
+    system could not be solved reliably, or a result overflowed."""
 
 
 class NotPsd(OpintError):

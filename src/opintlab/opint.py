@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OrderTooLarge, ShapeMismatch
+from .errors import NumericalBreakdown, OrderTooLarge, ShapeMismatch
 from .linalg import NormalOperator, as_matrix
 from .symbols import SymbolGrid, embed_two_to_three
 
@@ -79,7 +79,8 @@ def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
 
     The einsum runs without ``optimize``, so it walks the grid once and
     allocates only the rotated arguments and the output, never an
-    intermediate of grid size.
+    intermediate of grid size.  A result that overflows raises
+    :class:`NumericalBreakdown`.
     """
     _check_chain(ops, args, grid)
     rotated = [
@@ -88,8 +89,16 @@ def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     ]
     letters = _AXIS_LETTERS[: len(ops)]
     spec = ",".join([letters] + [letters[m : m + 2] for m in range(len(args))])
-    core = np.einsum(f"{spec}->{letters[0]}{letters[-1]}", grid.values, *rotated)
-    return ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        core = np.einsum(f"{spec}->{letters[0]}{letters[-1]}", grid.values, *rotated)
+        out = ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
+    if not np.all(np.isfinite(out)):
+        moduli = ", ".join(f"{np.max(np.abs(arg)):.3g}" for arg in args)
+        raise NumericalBreakdown(
+            f"the result overflowed: largest grid modulus "
+            f"{np.max(np.abs(grid.values)):.3g}, largest argument moduli {moduli}"
+        )
+    return out
 
 
 def doi_apply(op_a: NormalOperator, op_b: NormalOperator, psi: SymbolGrid, x) -> np.ndarray:

@@ -20,9 +20,11 @@ The barrier weight enters that system only through one right-hand-side
 entry, so it is factored once per iterate: the same factorization ends one
 barrier level and starts the next, whose first step is the tangent
 predictor along the central path (the Newton step scaled by the weight
-ratio).  Predictor steps count as Newton steps.  A step whose local norm
-lies inside the Dikin ellipsoid is taken without a step-length eigenvalue
-solve, since it cannot leave the cone.
+ratio).  Predictor steps count as Newton steps.  Each step is sized by
+backtracking from its start (1, or the weight ratio for the predictor): a
+trial point is accepted once its barrier value exists (G has a Cholesky
+factor and every slack is positive) and decreases enough, so that Cholesky
+is the method's only cone test.
 The data is first divided by its largest entry, which the norm scales with,
 so the duality-gap tolerance is relative to max_ij |S_ij|.
 
@@ -55,7 +57,6 @@ MAX_SIDE = 256
 
 _MU_SHRINK = 0.2
 _MU_FLOOR = 1e-12
-_FRAC_TO_BOUNDARY = 0.98
 _ARMIJO = 1e-4
 _INNER_CAP = 60
 _EIG_GUARD = 1e-12
@@ -111,9 +112,8 @@ class _NewtonSystem:
     """The Newton system of the barrier problem at one point, factored once.
 
     ``chol`` is the Cholesky factor of G and ``t`` the epigraph variable;
-    ``linv`` = L^-1 and ``m`` = G^-1 = L^-* L^-1 are kept for the step
-    length and the dual iterate.  The Hessian of -logdet on the
-    block-diagonal directions is L0(dG) = Pi_bd(M dG M); solve
+    ``m`` = G^-1 = L^-* L^-1 is kept for the dual iterate.  The Hessian of
+    -logdet on the block-diagonal directions is L0(dG) = Pi_bd(M dG M); solve
     L0(dG) = blkdiag(E1, E2).  With A = M11^-1 = P - S Q^-1 S* and
     F = M21 M11^-1 = -Q^-1 S*, the P block gives dP = A E1 A - F* dQ F and
     the Q block then reads M22 dQ M22 - N dQ N = E2 - F E1 F*,
@@ -162,7 +162,7 @@ class _NewtonSystem:
         bordered[diag] += slack**2
         bordered[n, n] = 0.0
 
-        self.ph, self.slack, self.linv, self.m = ph, slack, linv, m
+        self.ph, self.slack, self.m = ph, slack, m
         self.a, self.f, self.w, self.wh, self.damp = a, f, w, wh, damp
         self.r, self.bordered = r, bordered
         self.diag_l0_inv_r = np.diag(self._l0_inv(r)).real
@@ -188,24 +188,6 @@ class _NewtonSystem:
         dt = float(sol[n])
         decrement = mu * float(np.vdot(self.r, dg).real) - (1.0 - mu * inv_slack_sum) * dt
         return dg, dt, decrement
-
-    def max_step(self, dg: np.ndarray, dt: float) -> float:
-        """Largest step along (dG, dt) that keeps G positive definite and
-        every slack positive."""
-        lam_min = float(np.linalg.eigvalsh(self.linv @ dg @ self.linv.conj().T)[0])
-        smax = np.inf if lam_min >= -1e-300 else 1.0 / (-lam_min)
-        dslack = dt - np.diag(dg).real
-        shrink = dslack < 0.0
-        if np.any(shrink):
-            smax = min(smax, float(np.min(self.slack[shrink] / -dslack[shrink])))
-        return smax
-
-
-def _factor(g: np.ndarray, chol: np.ndarray, t: float, ph: int) -> _NewtonSystem:
-    try:
-        return _NewtonSystem(g, chol, t, ph)
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("Newton system is singular") from None
 
 
 def _verified_dual_bound(s: np.ndarray, z: np.ndarray):
@@ -269,7 +251,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     g = _gram(s, c0 * np.eye(ph, dtype=s.dtype), c0 * np.eye(qh, dtype=s.dtype))
     t = 2.0 * c0
     chol, phi = _barrier(g, t)  # the barrier value at weight mu is t + mu * phi
-    system = _factor(g, chol, t, ph)
+    system = _NewtonSystem(g, chol, t, ph)
 
     mu = max(1.0, snorm)
     newton_used = 0
@@ -289,23 +271,15 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
         for _ in range(_INNER_CAP):
             if newton_used >= max_iter:
                 break
-            try:
-                dg, dt, decrement = system.step(mu)
-            except np.linalg.LinAlgError:
-                raise NumericalBreakdown("Newton system is singular") from None
+            dg, dt, decrement = system.step(mu)
             if not (np.isfinite(decrement) and np.all(np.isfinite(dg))):
                 raise NumericalBreakdown("Newton step is not finite")
             if decrement <= threshold:
                 break
 
-            # The step's local norm is sqrt(decrement / mu).  Inside the Dikin
-            # ellipsoid of the self-concordant barrier the largest feasible
-            # step exceeds 1 / _FRAC_TO_BOUNDARY, so the cap cannot bind.
+            # dG vanishes off the diagonal blocks, so every candidate keeps S;
+            # _barrier rejects a candidate outside the cone.
             size = start
-            if decrement >= _FRAC_TO_BOUNDARY**2 * mu:
-                size = min(size, _FRAC_TO_BOUNDARY * system.max_step(dg, dt))
-
-            # dG vanishes off the diagonal blocks, so every candidate keeps S.
             fval = t + mu * phi
             accepted = False
             for _ in range(60):
@@ -319,7 +293,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
             if not accepted:
                 break  # no further progress at this weight
             g, t, chol, phi = cand_g, cand_t, cand_chol, cand_phi
-            system = _factor(g, chol, t, ph)
+            system = _NewtonSystem(g, chol, t, ph)
             newton_used += 1
             start = 1.0
 
@@ -343,10 +317,13 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
             ]
             candidates.append(sum(wi * gz for wi, (_, gz) in zip(weights, centers)))
         for cand_g, cand_z in candidates:
-            verified = _verified_primal(s, cand_g[:ph, :ph], cand_g[ph:, ph:])
-            if verified is not None and verified[2] < best_upper:
-                best_blocks = verified[:2]
-                best_upper = verified[2]
+            # A verified value is the largest diagonal entry plus a ridge, so
+            # a candidate whose diagonal already reaches best_upper cannot win.
+            if np.max(np.diag(cand_g).real) < best_upper:
+                verified = _verified_primal(s, cand_g[:ph, :ph], cand_g[ph:, ph:])
+                if verified is not None and verified[2] < best_upper:
+                    best_blocks = verified[:2]
+                    best_upper = verified[2]
             lower, weights = _verified_dual_bound(s, cand_z)
             if lower > best_lower:
                 best_lower, best_weights = lower, weights
@@ -377,7 +354,8 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
     ``duality_gap`` bounds the distance between ``value`` and the true norm.
     ``gap_tol`` is relative to the largest entry modulus of ``s``, so the
     status does not depend on the scale of the data.  A ``MaxIter`` status
-    returns the best iterate together with its gap.
+    returns the best iterate together with its gap.  A linear-algebra
+    failure inside the solve raises :class:`NumericalBreakdown`.
     """
     sm = as_matrix(s)
     p_dim, q_dim = sm.shape
@@ -393,7 +371,10 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
         weights = (np.full(p_dim, 1.0 / p_dim), np.full(q_dim, 1.0 / q_dim))
         return SdpSolution(value=0.0, gram=zeros, duality_gap=0.0, iterations=0,
                            status="Optimal", dual_weights=weights)
-    p, q, value, gap, iters, status, weights = _solve(data, gap_tol, max_iter)
+    try:
+        p, q, value, gap, iters, status, weights = _solve(data, gap_tol, max_iter)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"linear algebra failed in the solver: {exc}") from None
     return SdpSolution(
         value=float(top * value),
         gram=_gram(sm, top * p, top * q),

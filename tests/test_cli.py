@@ -152,12 +152,33 @@ def test_contraction_bound_holds_at_any_scale(tmp_path, capsys, command, scale):
         assert doc["outputs"]["result_s2"] == pytest.approx(bound, rel=1e-12)
 
 
+@pytest.mark.parametrize("command", ["doi", "toi"])
+def test_overflowing_transform_exits_one(tmp_path, capsys, command):
+    dims = [2, 2] if command == "doi" else [2, 2, 2]
+    op_paths, _, ops, _ = _normal_ops_and_grid(tmp_path, dims, seed=4)
+    grid = SymbolGrid(axes=tuple(op.eigenvalues for op in ops), values=np.full(dims, 1e200))
+    argv = [command, "--grid", _write(tmp_path, "grid.json", grid_to_json(grid)),
+            "--x", _matrix_file(tmp_path, "x.json", np.full((2, 2), 1e200))]
+    if command == "toi":
+        argv += ["--y", _matrix_file(tmp_path, "y.json", np.eye(2))]
+    for flag, path in zip(["--op-a", "--op-b", "--op-c"], op_paths):
+        argv += [flag, path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the result overflowed: largest grid modulus 1e+200" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # norms
 
 
-def test_norm_s2_report(tmp_path, capsys):
-    op_paths, grid_path, _, grid = _normal_ops_and_grid(tmp_path, [2, 3, 2], seed=6)
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e200])
+def test_norm_s2_report(tmp_path, capsys, scale):
+    # The witness residual is relative, so it reads the same at any scale.
+    op_paths, _, _, grid = _normal_ops_and_grid(tmp_path, [2, 3, 2], seed=6)
+    grid = SymbolGrid(axes=grid.axes, values=scale * np.asarray(grid.values))
+    grid_path = _write(tmp_path, "grid.json", grid_to_json(grid))
     code, doc = _run_json(
         capsys,
         ["norm-s2", "--op-a", op_paths[0], "--op-b", op_paths[1],

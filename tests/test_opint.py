@@ -21,6 +21,7 @@ from scipy.linalg import expm
 
 from opintlab import (
     NormalOperator,
+    NumericalBreakdown,
     OrderTooLarge,
     ShapeMismatch,
     SymbolGrid,
@@ -293,6 +294,33 @@ def test_toi_rejects_wrong_argument_shape():
     phi = _random_grid(RNG, [op, op, op])
     with pytest.raises(ShapeMismatch):
         toi_apply(op, op, op, phi, np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_result_is_a_breakdown():
+    """A result that overflows raises a typed error naming the overflow and
+    the largest moduli, at every order and with no numpy warning."""
+    op = random_normal_operator(RNG, 2)
+    big = np.full((2, 2), 1e200, dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    psi = SymbolGrid(axes=(op.eigenvalues,) * 2, values=np.full((2, 2), 1e200))
+    phi = SymbolGrid(axes=(op.eigenvalues,) * 3, values=np.full((2, 2, 2), 1e200))
+    calls = [
+        lambda: doi_apply(op, op, psi, big),
+        lambda: toi_apply(op, op, op, phi, big, eye),
+        lambda: moi_apply([op] * 3, phi, [big, eye]),
+    ]
+    for call in calls:
+        with pytest.raises(NumericalBreakdown, match=r"overflowed: largest grid modulus 1e\+200"):
+            call()
+    # sup|phi| * ||X||_2 * ||Y||_2 overflows, but the huge entry meets a zero
+    # of X, so the result is finite and is returned.
+    diag = NormalOperator.from_eigensystem(np.arange(2.0))
+    values = np.ones((2, 2, 2))
+    values[1, 1, 1] = 1e300
+    phi = SymbolGrid(axes=(diag.eigenvalues,) * 3, values=values)
+    out = toi_apply(diag, diag, diag, phi, np.diag([1e10, 0.0]), np.diag([1e10, 1.0]))
+    np.testing.assert_array_equal(out, np.diag([1e20, 0.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from opintlab import NotPsd, recover_factorization, solve_gamma2_sdp
-from opintlab.sdp import _FRAC_TO_BOUNDARY, _NewtonSystem
+from opintlab import NotPsd, NumericalBreakdown, recover_factorization, solve_gamma2_sdp
+from opintlab import sdp
+from opintlab.sdp import _NewtonSystem
 
 from conftest import random_complex
 
@@ -240,7 +241,7 @@ def test_max_iter_still_gives_upper_bound():
 
 def test_wide_input_below_the_precision_floor():
     # Without the tangent predictor this 4x16 input ran out of steps at a
-    # relative gap of 1.67e-7 after MAX_ITER steps; it now certifies in 114.
+    # relative gap of 1.67e-7 after MAX_ITER steps; it now certifies in 86.
     rng = np.random.default_rng(7)
     for shape in [(3, 12)] * 6 + [(12, 3)] * 6 + [(4, 16)]:
         rng.standard_normal(shape)
@@ -255,7 +256,7 @@ def test_wide_input_below_the_precision_floor():
 def test_step_budget():
     """The tangent predictor saves at least 15% of the Newton steps on a
     fixed set of inputs; the same solver starting every line search at the
-    full step took 899 steps on it (this one takes 728)."""
+    full step took 899 steps on it (this one takes 670)."""
     rng = np.random.default_rng(1)
     inputs = [rng.standard_normal((n, n)) for n in (4, 8, 12, 16)]
     inputs += [random_complex(rng, (n, n)) for n in (4, 6, 8)]
@@ -265,29 +266,75 @@ def test_step_budget():
     assert sum(sol.iterations for sol in sols) <= 0.85 * 899
 
 
-def test_skipped_step_length_never_binds(monkeypatch):
-    """Where the solver skips the step-length eigenvalue solve (the step's
-    local norm sqrt(decrement / mu) is below _FRAC_TO_BOUNDARY), the largest
-    feasible step exceeds 1 / _FRAC_TO_BOUNDARY, so skipping it changes no
-    step size."""
-    seen = []
-    step = _NewtonSystem.step
+def _step_rule_inputs():
+    rng = np.random.default_rng(5)
+    return (rng.standard_normal((6, 6)), random_complex(rng, (4, 5)),
+            np.tril(np.ones((8, 8))))
 
-    def recording_step(system, mu):
-        out = step(system, mu)
-        seen.append((system, mu, out))
+
+def test_cholesky_is_the_only_cone_test(monkeypatch):
+    """The line search sizes every step by backtracking on the barrier's
+    Cholesky, so the only eigenvalue solves in a solve are the primal
+    certificate checks."""
+    calls = {"eigvalsh": 0, "primal": 0}
+    eigvalsh, verified_primal = np.linalg.eigvalsh, sdp._verified_primal
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_primal(*args):
+        calls["primal"] += 1
+        return verified_primal(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(sdp, "_verified_primal", counting_primal)
+    for s in _step_rule_inputs():
+        assert solve_gamma2_sdp(s).status == "Optimal"
+    assert calls["primal"] > 0
+    assert calls["eigvalsh"] == calls["primal"]
+
+
+def test_harvest_skips_primal_candidates_that_cannot_win(monkeypatch):
+    """A verified value is at least the candidate's largest diagonal entry,
+    so no candidate reaching the best value found so far is checked."""
+    verified_primal = sdp._verified_primal
+    checked = []
+
+    def recording_primal(s, p, q):
+        out = verified_primal(s, p, q)
+        top = max(np.max(np.diag(p).real), np.max(np.diag(q).real))
+        checked.append((top, np.inf if out is None else out[2]))
         return out
 
-    monkeypatch.setattr(_NewtonSystem, "step", recording_step)
-    rng = np.random.default_rng(5)
-    for s in (rng.standard_normal((6, 6)), random_complex(rng, (4, 5)),
-              np.tril(np.ones((8, 8)))):
+    monkeypatch.setattr(sdp, "_verified_primal", recording_primal)
+    for s in _step_rule_inputs():
+        checked.clear()
         assert solve_gamma2_sdp(s).status == "Optimal"
-    skipped = [(system, dg, dt) for system, mu, (dg, dt, decrement) in seen
-               if decrement < _FRAC_TO_BOUNDARY**2 * mu]
-    assert len(skipped) > len(seen) / 3
-    for system, dg, dt in skipped:
-        assert system.max_step(dg, dt) >= 1.0 / _FRAC_TO_BOUNDARY
+        best = np.inf
+        for top, value in checked:
+            assert top < best
+            best = min(best, value)
+        assert len(checked) > 1
+
+
+@pytest.mark.parametrize("failing", ["norm", "newton", "dual-bound"])
+def test_linear_algebra_failure_is_a_breakdown(monkeypatch, failing):
+    """A LinAlgError anywhere in a solve surfaces as NumericalBreakdown:
+    here from the initial norm, a Newton system or a dual bound's SVD."""
+    svd = np.linalg.svd
+    seen = {"norm": 0, "newton": 0, "dual-bound": 0}
+
+    def failing_svd(a, *args, compute_uv=True, **kwargs):
+        kind = "newton" if compute_uv else ("norm" if seen["norm"] == 0 else "dual-bound")
+        seen[kind] += 1
+        if kind == failing and seen[kind] == (3 if kind == "newton" else 1):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(NumericalBreakdown, match="SVD did not converge"):
+        solve_gamma2_sdp(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 def test_rejects_bad_arguments():
