@@ -125,21 +125,12 @@ def cmd_eig(args):
     return _operator_to_json(op), True
 
 
-def cmd_doi(args):
-    result = doi_apply(args.op_a, args.op_b, args.grid, args.x)
-    bound = sup_norm(args.grid) * schatten_norm(args.x, 2)
-    out_norm = schatten_norm(result, 2)
-    bound_ok = bool(out_norm <= bound * (1.0 + 1e-10))
-    return {
-        "result": matrix_to_json(result),
-        "result_s2": out_norm,
-        "bound_ok": bound_ok,
-    }, bound_ok
-
-
-def cmd_toi(args):
-    result = toi_apply(args.op_a, args.op_b, args.op_c, args.grid, args.x, args.y)
-    bound = sup_norm(args.grid) * schatten_norm(args.x, 2) * schatten_norm(args.y, 2)
+def _transform_report(result, grid: SymbolGrid, args):
+    """A transform's result and the contraction check ||result||_2 <=
+    sup|grid| * ||X1||_2 * ... * ||Xn||_2, multiplied left to right."""
+    bound = sup_norm(grid)
+    for arg in args:
+        bound *= schatten_norm(arg, 2)
     out_norm = schatten_norm(result, 2)
     bound_ok = bool(out_norm <= bound * (1.0 + 1e-10))
     return {
@@ -150,9 +141,18 @@ def cmd_toi(args):
     }, bound_ok
 
 
+def cmd_doi(args):
+    result = doi_apply(args.op_a, args.op_b, args.grid, args.x)
+    return _transform_report(result, args.grid, [args.x])
+
+
+def cmd_toi(args):
+    result = toi_apply(args.op_a, args.op_b, args.op_c, args.grid, args.x, args.y)
+    return _transform_report(result, args.grid, [args.x, args.y])
+
+
 def cmd_moi(args):
-    result = moi_apply(args.op, args.grid, args.arg)
-    return {"result": matrix_to_json(result), "result_s2": schatten_norm(result, 2)}, True
+    return _transform_report(moi_apply(args.op, args.grid, args.arg), args.grid, args.arg)
 
 
 def cmd_norm_s2(args):
@@ -222,12 +222,6 @@ def cmd_factor(args):
     }, sol.status == "Optimal" and residual <= 1e-6
 
 
-def _check_agreement_tol(tol: float) -> None:
-    """Reject a lower/upper agreement tolerance that is negative or not finite."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
-
-
 def run_verify_main(
     dims,
     trials: int,
@@ -248,7 +242,8 @@ def run_verify_main(
         raise ValueError(f"need three positive dimensions, got {dims}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    _check_agreement_tol(tol)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     if any(d > _VERIFY_DIM_CAP for d in dims):
         raise BudgetExceeded(
             f"dimensions {dims} exceed the default verification budget "
@@ -400,7 +395,6 @@ def cmd_examples(args):
 
 
 def cmd_peller(args):
-    _check_agreement_tol(args.tol)
     op_a, op_b, psi = args.op_a, args.op_b, args.grid
     est = doi_s1_norm(op_a, op_b, psi)
     upper = est.upper_certificate
@@ -418,7 +412,7 @@ def cmd_peller(args):
     reduction_residual = _relative(via - direct, direct)
 
     passed = bool(
-        gap <= args.tol
+        est.converged
         and recon_residual <= 1e-5
         and reduction_residual <= 1e-11
         and pair.norm_a * pair.norm_b <= upper * (1.0 + 1e-5)
@@ -537,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("ex1", "ex2"))
     p.add_argument("--n", type=int, default=3)
 
-    add("peller", cmd_peller, "trace-to-trace sandwich for one symbol", grid2,
-        seed=True, tol=AGREEMENT_TOL)
+    add("peller", cmd_peller, "trace-to-trace sandwich for one symbol", grid2, seed=True)
     return parser
 
 

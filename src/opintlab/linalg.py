@@ -169,7 +169,7 @@ def normal_eig(matrix, normality_tol: float = NORMALITY_TOL) -> NormalOperator:
             basis[:, start:end] = cols @ rot
         start = end
 
-    eigs = top * np.einsum("ij,jk,ki->i", basis.conj().T, unit, basis)
+    eigs = top * np.sum(basis.conj() * (unit @ basis), axis=0)
     return NormalOperator(matrix=mat, eigenvalues=eigs, eigenbasis=basis)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NotPsd, ShapeMismatch
 from .linalg import NormalOperator, as_matrix, divide_by_largest
 from .opint import check_grid_ops
-from .sdp import GAP_TOL, MAX_ITER, solve_gamma2_sdp
+from .sdp import solve_gamma2_sdp
 from .symbols import SymbolGrid, middle_slices, sup_norm
 
 DEFAULT_RESTARTS = 64
@@ -240,13 +240,9 @@ def s1_bilinear_norm_lower(
     )
 
 
-def gamma2(
-    s,
-    gap_tol: float = GAP_TOL,
-    max_iter: int = MAX_ITER,
-) -> NormEstimate:
+def gamma2(s) -> NormEstimate:
     """Factorization norm of a matrix, with its Gram certificate attached."""
-    sol = solve_gamma2_sdp(s, gap_tol=gap_tol, max_iter=max_iter)
+    sol = solve_gamma2_sdp(s)
     return NormEstimate(
         value=sol.value,
         witness={"gram": sol.gram},
@@ -283,34 +279,30 @@ def trilinear_factor_norm(phi: SymbolGrid) -> tuple[NormEstimate, FactorizationP
     The norm equals the largest factorization norm among the grid's middle
     slices.  The returned pair places every slice's factorization in one
     (n1+n3)-dimensional space, as a(., k) only pairs with b(., k), rebalanced
-    so that norm_a * norm_b does not exceed the reported value.
+    so that norm_a * norm_b does not exceed the reported value; slices of
+    value 0 keep zero vectors.
     """
-    slices = middle_slices(phi)
     n1, n2, n3 = phi.shape
-
-    sols = [solve_gamma2_sdp(mat) if np.any(mat) else None for mat in slices]
-    slice_values = np.array([0.0 if sol is None else sol.value for sol in sols])
-    best_k = int(np.argmax(slice_values))
-    value = float(slice_values[best_k])
-    converged = all(sol is None or sol.status == "Optimal" for sol in sols)
+    sols = [solve_gamma2_sdp(mat) for mat in middle_slices(phi)]
+    best = max(sols, key=lambda sol: sol.value)
+    value = best.value
 
     fam_a = np.zeros((n1, n2, n1 + n3), dtype=np.complex128)
     fam_b = np.zeros((n3, n2, n1 + n3), dtype=np.complex128)
     for k, sol in enumerate(sols):
-        if sol is None or value <= 0.0:
+        if sol.value == 0.0:
             continue
         pair = recover_factorization(sol.gram, n1, n3)
-        scale = np.sqrt(value / slice_values[k])
+        scale = np.sqrt(value / sol.value)
         fam_a[:, k] = scale * pair.a
         fam_b[:, k] = pair.b / scale
 
-    witness = {} if sols[best_k] is None else {"gram": sols[best_k].gram}
     estimate = NormEstimate(
         value=value,
-        witness=witness,
+        witness={"gram": best.gram},
         upper_certificate=value,
         restarts_used=0,
-        converged=converged,
+        converged=all(sol.status == "Optimal" for sol in sols),
     )
     return estimate, FactorizationPair(a=fam_a, b=fam_b)
 

@@ -74,6 +74,19 @@ def apply_function(op: NormalOperator, values) -> np.ndarray:
     return u @ (vals[:, None] * u.conj().T)
 
 
+def _finite_result(out: np.ndarray, symbol: str, values, args) -> np.ndarray:
+    """``out``, or a :class:`NumericalBreakdown` naming the largest moduli of
+    the symbol ``values`` (a sequence of arrays) and ``args`` on overflow."""
+    if not np.all(np.isfinite(out)):
+        top = max(float(np.max(np.abs(v))) for v in values)
+        moduli = ", ".join(f"{np.max(np.abs(arg)):.3g}" for arg in args)
+        raise NumericalBreakdown(
+            f"the result overflowed: largest {symbol} modulus {top:.3g}, "
+            f"largest argument moduli {moduli}"
+        )
+    return out
+
+
 def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     """Rotate the arguments into the eigenbases, contract, rotate back.
 
@@ -92,13 +105,7 @@ def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         core = np.einsum(f"{spec}->{letters[0]}{letters[-1]}", grid.values, *rotated)
         out = ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
-    if not np.all(np.isfinite(out)):
-        moduli = ", ".join(f"{np.max(np.abs(arg)):.3g}" for arg in args)
-        raise NumericalBreakdown(
-            f"the result overflowed: largest grid modulus "
-            f"{np.max(np.abs(grid.values)):.3g}, largest argument moduli {moduli}"
-        )
-    return out
+    return _finite_result(out, "grid", [grid.values], args)
 
 
 def doi_apply(op_a: NormalOperator, op_b: NormalOperator, psi: SymbolGrid, x) -> np.ndarray:
@@ -134,22 +141,25 @@ def separable_apply(ops, terms, args) -> np.ndarray:
     Each term is a sequence of n value vectors, one per operator, sampled on
     that operator's eigenvalue list.  This is the direct evaluation path for
     symbols of the form sum_t f1_t (x) ... (x) fn_t; it must agree with
-    :func:`moi_apply` on the summed elementary-tensor grid.
+    :func:`moi_apply` on the summed elementary-tensor grid, overflow included.
     """
     ops = list(ops)
     args = [as_matrix(a) for a in args]
     _check_chain(ops, args)
     n = len(ops)
     out = np.zeros((ops[0].dim, ops[-1].dim), dtype=np.complex128)
-    for term in terms:
-        factors = list(term)
-        if len(factors) != n:
-            raise ShapeMismatch("each term needs one value vector per operator")
-        acc = apply_function(ops[0], factors[0])
-        for m in range(n - 1):
-            acc = acc @ args[m] @ apply_function(ops[m + 1], factors[m + 1])
-        out += acc
-    return out
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for term in terms:
+            factors = list(term)
+            if len(factors) != n:
+                raise ShapeMismatch("each term needs one value vector per operator")
+            values += factors
+            acc = apply_function(ops[0], factors[0])
+            for m in range(n - 1):
+                acc = acc @ args[m] @ apply_function(ops[m + 1], factors[m + 1])
+            out += acc
+    return _finite_result(out, "term value", values, args)
 
 
 def doi_via_toi(

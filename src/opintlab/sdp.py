@@ -32,9 +32,9 @@ Certification does not rely on the barrier weight reaching zero: every
 centered iterate yields a feasible primal point (ridge-corrected, then
 verified positive semidefinite by explicit eigenvalue bounds) and a lower
 bound.  The optimum is also the largest ||D_sqrt(a) S D_sqrt(b)||_1 over
-probability vectors a and b (the dual of the program), so the diagonal of
-the dual iterate, clipped at zero and normalized block by block, gives a
-lower bound that one SVD evaluates.  Consecutive centers are
+probability vectors a and b (the dual of the program), so the dual weights
+mu * diag(G^-1) at a center, clipped at zero and normalized block by block,
+give a lower bound that one SVD evaluates.  Consecutive centers are
 Richardson-extrapolated toward the weight-zero limit to produce sharper
 candidates that pass through the same checks.  The reported duality gap is
 then a true bound on the distance to the optimum, no matter how the iterates
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdown
+from .errors import BudgetExceeded, NumericalBreakdown
 from .linalg import as_matrix, divide_by_largest
 
 GAP_TOL = 1e-7
@@ -190,17 +190,17 @@ class _NewtonSystem:
         return dg, dt, decrement
 
 
-def _verified_dual_bound(s: np.ndarray, z: np.ndarray):
-    """True lower bound on the optimum from an approximate dual matrix, and
+def _verified_dual_bound(s: np.ndarray, w: np.ndarray):
+    """True lower bound on the optimum from approximate dual weights, and
     the weights behind it.
 
     The optimum is the largest ||D_sqrt(a) S D_sqrt(b)||_1 over probability
-    vectors a and b, so any nonnegative weights give a lower bound.  The
-    candidate's diagonal, clipped at zero and divided block by block by its
-    sum, is evaluated with one SVD, less ``_EIG_GUARD`` times the largest
-    singular value for roundoff.  An unusable candidate gives (-inf, None).
+    vectors a and b, so any nonnegative weights give a lower bound.  ``w``
+    (p row weights, then q column weights), clipped at zero and divided
+    block by block by its sum, is evaluated with one SVD, less
+    ``_EIG_GUARD`` times the largest singular value for roundoff.  An
+    unusable candidate gives (-inf, None).
     """
-    w = np.diag(z).real
     if not np.all(np.isfinite(w)):
         return -np.inf, None
     a, b = np.split(np.maximum(w, 0.0), [s.shape[0]])
@@ -233,17 +233,17 @@ def _verified_primal(s: np.ndarray, p: np.ndarray, q: np.ndarray):
     return pp, qq, t
 
 
-def _extrapolate(cur: np.ndarray, prev: np.ndarray, ratio: float) -> np.ndarray:
-    """Cancel the leading term of a path expansion linear in ``ratio``."""
-    return (cur - ratio * prev) / (1.0 - ratio)
+def _extrapolate(cur, prev, ratio: float) -> list:
+    """Cancel the leading term, linear in ``ratio``, of each candidate part."""
+    return [(c - ratio * p) / (1.0 - ratio) for c, p in zip(cur, prev)]
 
 
-def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
+def _solve(s: np.ndarray, gap_tol: float):
     """Path-following on the program in the field of ``s`` (real or complex).
 
     Returns the best verified primal blocks, their value, the certified gap,
-    the Newton step count, a status string and the dual weights (a, b) of
-    the best lower bound.
+    the Newton step count (at most ``MAX_ITER``), a status string and the
+    dual weights (a, b) of the best lower bound.
     """
     ph, qh = s.shape
     snorm = float(np.linalg.svd(s, compute_uv=False)[0])
@@ -259,7 +259,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     best_blocks = None
     best_lower = -np.inf
     best_weights = (np.full(ph, 1.0 / ph), np.full(qh, 1.0 / qh))
-    centers = deque(maxlen=3)  # (mu, stacked [G, Z]) at the last centered weights
+    centers = deque(maxlen=3)  # (mu, G, dual weights) at the last centered weights
     start = 1.0  # initial step size of the line search
 
     while True:
@@ -269,7 +269,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
         # line-search failure break still guards the double-precision floor.
         threshold = 1e-13 * max(1.0, abs(t)) * min(1.0, mu)
         for _ in range(_INNER_CAP):
-            if newton_used >= max_iter:
+            if newton_used >= MAX_ITER:
                 break
             dg, dt, decrement = system.step(mu)
             if not (np.isfinite(decrement) and np.all(np.isfinite(dg))):
@@ -302,21 +302,21 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
         # the weight, so linear extrapolation is second-order and the
         # three-point variant third-order; every candidate is re-verified,
         # so a poor extrapolation only wastes the attempt).
-        centers.append((mu, np.stack([g, mu * system.m])))
-        candidates = [centers[-1][1]]
+        centers.append((mu, g, mu * np.diag(system.m).real))
+        candidates = [centers[-1][1:]]
         if len(centers) >= 2:
-            mu_prev, prev = centers[-2]
+            mu_prev, *prev = centers[-2]
             for ratio in (mu / mu_prev, np.sqrt(mu / mu_prev)):
                 candidates.append(_extrapolate(candidates[0], prev, ratio))
         if len(centers) == 3:
             # Lagrange weights of the three centers at weight zero.
-            xs = [x for x, _ in centers]
-            weights = [
+            xs = [x for x, _, _ in centers]
+            lagrange = [
                 np.prod([xj / (xj - xi) for j, xj in enumerate(xs) if j != i])
                 for i, xi in enumerate(xs)
             ]
-            candidates.append(sum(wi * gz for wi, (_, gz) in zip(weights, centers)))
-        for cand_g, cand_z in candidates:
+            candidates.append([sum(li * c[k] for li, c in zip(lagrange, centers)) for k in (1, 2)])
+        for cand_g, cand_w in candidates:
             # A verified value is the largest diagonal entry plus a ridge, so
             # a candidate whose diagonal already reaches best_upper cannot win.
             if np.max(np.diag(cand_g).real) < best_upper:
@@ -324,7 +324,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
                 if verified is not None and verified[2] < best_upper:
                     best_blocks = verified[:2]
                     best_upper = verified[2]
-            lower, weights = _verified_dual_bound(s, cand_z)
+            lower, weights = _verified_dual_bound(s, cand_w)
             if lower > best_lower:
                 best_lower, best_weights = lower, weights
 
@@ -332,7 +332,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
         if gap <= gap_tol:
             status = "Optimal"
             break
-        if newton_used >= max_iter or mu < _MU_FLOOR:
+        if newton_used >= MAX_ITER or mu < _MU_FLOOR:
             status = "MaxIter"
             break
         # At a center, the Newton step toward the weight _MU_SHRINK * mu is
@@ -346,7 +346,7 @@ def _solve(s: np.ndarray, gap_tol: float, max_iter: int):
     return best_blocks[0], best_blocks[1], best_upper, gap, newton_used, status, best_weights
 
 
-def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
+def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL) -> SdpSolution:
     """Compute the factorization norm of a dense matrix with certificates.
 
     Returns an :class:`SdpSolution` whose ``gram`` block is positive
@@ -354,13 +354,14 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
     ``duality_gap`` bounds the distance between ``value`` and the true norm.
     ``gap_tol`` is relative to the largest entry modulus of ``s``, so the
     status does not depend on the scale of the data.  A ``MaxIter`` status
-    returns the best iterate together with its gap.  A linear-algebra
-    failure inside the solve raises :class:`NumericalBreakdown`.
+    returns the best iterate together with its gap.  p + q > ``MAX_SIDE``
+    raises :class:`BudgetExceeded`, a linear-algebra failure in the solve
+    :class:`NumericalBreakdown`.
     """
     sm = as_matrix(s)
     p_dim, q_dim = sm.shape
     if p_dim + q_dim > MAX_SIDE:
-        raise ValueError(
+        raise BudgetExceeded(
             f"matrix of shape {sm.shape} exceeds the dense budget p+q <= {MAX_SIDE}"
         )
     if not 0.0 < gap_tol < np.inf:
@@ -372,7 +373,7 @@ def solve_gamma2_sdp(s, gap_tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> S
         return SdpSolution(value=0.0, gram=zeros, duality_gap=0.0, iterations=0,
                            status="Optimal", dual_weights=weights)
     try:
-        p, q, value, gap, iters, status, weights = _solve(data, gap_tol, max_iter)
+        p, q, value, gap, iters, status, weights = _solve(data, gap_tol)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"linear algebra failed in the solver: {exc}") from None
     return SdpSolution(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from opintlab import __version__, matrix_to_json, grid_to_json, normal_eig, SymbolGrid
-from opintlab import cli, norms
+from opintlab import cli, norms, sdp
 from opintlab.cli import main
 
 from conftest import random_normal_matrix
@@ -124,11 +124,11 @@ def test_doi_applies_two_variable_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e20, 1e150])
-@pytest.mark.parametrize("command", ["doi", "toi"])
+@pytest.mark.parametrize("command", ["doi", "toi", "moi"])
 def test_contraction_bound_holds_at_any_scale(tmp_path, capsys, command, scale):
     # A grid of constant modulus attains the bound sup|grid| * ||X||_2
-    # (times ||Y||_2 for toi, whose middle axis has length one), so only a
-    # relative slack accepts it at every scale.
+    # (times ||Y||_2 for toi and moi, whose middle axis has length one), so
+    # only a relative slack accepts it at every scale.
     dims = [4, 4] if command == "doi" else [4, 1, 4]
     op_paths, _, ops, _ = _normal_ops_and_grid(tmp_path, dims, seed=3)
     rng = np.random.default_rng(3)
@@ -136,15 +136,17 @@ def test_contraction_bound_holds_at_any_scale(tmp_path, capsys, command, scale):
     grid = SymbolGrid(axes=tuple(op.eigenvalues for op in ops), values=values)
     grid_path = _write(tmp_path, "grid.json", grid_to_json(grid))
     argv = [command, "--grid", grid_path]
-    for flag, path in zip(["--op-a", "--op-b", "--op-c"], op_paths):
+    flags = ["--op"] * 3 if command == "moi" else ["--op-a", "--op-b", "--op-c"]
+    arg_flags = ["--arg"] * 2 if command == "moi" else ["--x", "--y"]
+    for flag, path in zip(flags, op_paths):
         argv += [flag, path]
     for _ in range(20):
         x = rng.standard_normal((dims[0], dims[1]))
         y = rng.standard_normal((dims[1], dims[-1]))
-        args = ["--x", _matrix_file(tmp_path, "x.json", x)]
+        args = [arg_flags[0], _matrix_file(tmp_path, "x.json", x)]
         bound = scale * np.linalg.norm(x)
-        if command == "toi":
-            args += ["--y", _matrix_file(tmp_path, "y.json", y)]
+        if command != "doi":
+            args += [arg_flags[1], _matrix_file(tmp_path, "y.json", y)]
             bound *= np.linalg.norm(y)
         code, doc = _run_json(capsys, argv + args)
         assert code == 0
@@ -376,6 +378,25 @@ def test_peller_rejects_ascent_flags(tmp_path, capsys):
     argv = ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1], "--grid", grid_path]
     assert main(argv + ["--restarts", "4"]) == 1
     assert main(argv + ["--max-iter", "4"]) == 1
+    # Nor the ascent's agreement tolerance: its gap is the solve's certified
+    # gap, so the solve's status decides.
+    assert main(argv + ["--tol", "1e-3"]) == 1
+
+
+def test_starved_peller_fails(tmp_path, capsys, monkeypatch):
+    # A solve cut off before its gap certifies fails peller, although its
+    # bounds are still valid.
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
+    op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [4, 4], seed=12)
+    code, doc = _run_json(
+        capsys,
+        ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1], "--grid", grid_path],
+    )
+    out = doc["outputs"]
+    assert code == 2
+    assert out["passed"] is False
+    assert out["converged"] is False
+    assert out["lower"] <= out["upper"]
 
 
 def test_peller_solves_the_sdp_once(tmp_path, capsys, monkeypatch):
@@ -501,8 +522,6 @@ def test_csv_rejected_outside_verify_main(tmp_path, capsys):
         ["gamma2", "MATRIX", "--tol", "inf"],
         ["verify-main", "--trials", "1", "--tol", "-1"],
         ["verify-main", "--trials", "1", "--tol", "nan"],
-        ["peller", "--op-a", "OP_A", "--op-b", "OP_B", "--grid", "GRID", "--tol", "-1"],
-        ["peller", "--op-a", "OP_A", "--op-b", "OP_B", "--grid", "GRID", "--tol", "nan"],
         ["eig", "MATRIX", "--tol", "nan"],
         ["eig", "MATRIX", "--tol", "inf"],
         ["eig", "MATRIX", "--tol", "-1"],
@@ -515,7 +534,7 @@ def test_csv_rejected_outside_verify_main(tmp_path, capsys):
         ["eig", "NESTED"],
     ],
     ids=["ex1-n0", "ex2-n0", "gamma2-nan", "gamma2-inf", "verify-neg", "verify-nan",
-         "peller-neg", "peller-nan", "eig-nan", "eig-inf", "eig-neg", "norm-s1-sweeps0",
+         "eig-nan", "eig-inf", "eig-neg", "norm-s1-sweeps0",
          "norm-s1-sweeps-neg", "verify-sweeps0", "verify-sweeps-neg", "eig-nested"],
 )
 def test_rejected_arguments_exit_one(tmp_path, capsys, argv):

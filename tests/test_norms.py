@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from opintlab import norms
+from opintlab import norms, sdp
 from opintlab import (
     NormalOperator,
     SymbolGrid,
@@ -223,6 +223,27 @@ class TestTrilinearFactor:
         assert est.value == 0.0
         np.testing.assert_array_equal(pair.reconstruct(), zeros.values)
 
+    def test_every_slice_goes_through_the_solver(self, monkeypatch):
+        # Zero slices take the solver's own zero path; the witness is the
+        # best slice's Gram matrix.
+        _, grid = _instance((2, 3, 2), seed=11)
+        values = np.asarray(grid.values).copy()
+        values[:, 1, :] = 0.0
+        grid = SymbolGrid(axes=grid.axes, values=values)
+        solved = []
+
+        def counting_solve(s):
+            sol = solve_gamma2_sdp(s)
+            solved.append(sol)
+            return sol
+
+        monkeypatch.setattr(norms, "solve_gamma2_sdp", counting_solve)
+        est, _ = trilinear_factor_norm(grid)
+        assert len(solved) == 3
+        assert solved[1].value == 0.0 and solved[1].status == "Optimal"
+        best = max(solved, key=lambda sol: sol.value)
+        assert est.witness["gram"] is best.gram
+
 
 # ---------------------------------------------------------------------------
 # two-operator trace-to-trace sandwich
@@ -376,9 +397,10 @@ def test_gamma2_wrapper_exposes_gram_witness():
     assert gram.shape == (6, 6)
 
 
-def test_gamma2_wrapper_reports_non_convergence():
+def test_gamma2_wrapper_reports_non_convergence(monkeypatch):
     s = np.random.default_rng(18).standard_normal((6, 6))
-    est = gamma2(s, max_iter=2)
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
+    est = gamma2(s)
     assert not est.converged
 
 

@@ -299,7 +299,8 @@ def test_toi_rejects_wrong_argument_shape():
 @pytest.mark.filterwarnings("error")
 def test_overflowing_result_is_a_breakdown():
     """A result that overflows raises a typed error naming the overflow and
-    the largest moduli, at every order and with no numpy warning."""
+    the largest moduli, at every order, on the separable path too, and with
+    no numpy warning."""
     op = random_normal_operator(RNG, 2)
     big = np.full((2, 2), 1e200, dtype=complex)
     eye = np.eye(2, dtype=complex)
@@ -309,9 +310,11 @@ def test_overflowing_result_is_a_breakdown():
         lambda: doi_apply(op, op, psi, big),
         lambda: toi_apply(op, op, op, phi, big, eye),
         lambda: moi_apply([op] * 3, phi, [big, eye]),
+        lambda: separable_apply([op] * 2, [[np.full(2, 1e200), np.ones(2)]], [big]),
     ]
     for call in calls:
-        with pytest.raises(NumericalBreakdown, match=r"overflowed: largest grid modulus 1e\+200"):
+        with pytest.raises(NumericalBreakdown,
+                           match=r"overflowed: largest (grid|term value) modulus 1e\+200"):
             call()
     # sup|phi| * ||X||_2 * ||Y||_2 overflows, but the huge entry meets a zero
     # of X, so the result is finite and is returned.

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from opintlab import NotPsd, NumericalBreakdown, recover_factorization, solve_gamma2_sdp
+from opintlab import (
+    BudgetExceeded,
+    NotPsd,
+    NumericalBreakdown,
+    recover_factorization,
+    solve_gamma2_sdp,
+)
 from opintlab import sdp
 from opintlab.sdp import _NewtonSystem
 
@@ -228,10 +234,11 @@ def test_recover_factorization_rejects_indefinite():
         recover_factorization(gram, 1, 1)
 
 
-def test_max_iter_still_gives_upper_bound():
+def test_max_iter_still_gives_upper_bound(monkeypatch):
     s = np.random.default_rng(17).standard_normal((6, 6))
     full = solve_gamma2_sdp(s)
-    starved = solve_gamma2_sdp(s, max_iter=3)
+    monkeypatch.setattr(sdp, "MAX_ITER", 3)
+    starved = solve_gamma2_sdp(s)
     assert starved.status == "MaxIter"
     assert starved.iterations <= 3 + 1
     # Whatever the budget, the reported value stays a true upper bound.
@@ -337,11 +344,27 @@ def test_linear_algebra_failure_is_a_breakdown(monkeypatch, failing):
         solve_gamma2_sdp(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
+def test_dual_certificate_reads_weight_vectors(monkeypatch):
+    # The harvest carries mu * diag(G^-1), one weight per row and column,
+    # not the dual matrix.
+    seen = []
+    bound = sdp._verified_dual_bound
+
+    def recording_bound(s, w):
+        seen.append(np.shape(w))
+        return bound(s, w)
+
+    monkeypatch.setattr(sdp, "_verified_dual_bound", recording_bound)
+    sol = solve_gamma2_sdp(random_complex(np.random.default_rng(5), (3, 4)))
+    assert sol.status == "Optimal"
+    assert seen and set(seen) == {(7,)}
+
+
 def test_rejects_bad_arguments():
     for gap_tol in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             solve_gamma2_sdp(np.eye(2), gap_tol=gap_tol)
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceeded):
         solve_gamma2_sdp(np.ones((200, 100)))
 
 
