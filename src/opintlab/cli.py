@@ -20,6 +20,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 
@@ -127,16 +128,24 @@ def cmd_eig(args):
 
 def _transform_report(result, grid: SymbolGrid, args):
     """A transform's result and the contraction check ||result||_2 <=
-    sup|grid| * ||X1||_2 * ... * ||Xn||_2, multiplied left to right."""
-    bound = sup_norm(grid)
-    for arg in args:
-        bound *= schatten_norm(arg, 2)
+    sup|grid| * ||X1||_2 * ... * ||Xn||_2.
+
+    The check is scale free: ||result||_2 is divided by sup|grid| and then
+    by each ||Xm||_2 in turn, so a bound beyond the float range still
+    decides it.  The bound itself is reported as null when it is not
+    representable.
+    """
+    factors = [sup_norm(grid)] + [schatten_norm(arg, 2) for arg in args]
     out_norm = schatten_norm(result, 2)
-    bound_ok = bool(out_norm <= bound * (1.0 + 1e-10))
+    ratio = out_norm
+    for factor in factors:
+        ratio = ratio / factor if factor else np.inf
+    bound_ok = bool(out_norm == 0.0 or ratio <= 1.0 + 1e-10)
+    bound = math.prod(factors)
     return {
         "result": matrix_to_json(result),
         "result_s2": out_norm,
-        "contraction_bound": bound,
+        "contraction_bound": bound if math.isfinite(bound) else None,
         "bound_ok": bound_ok,
     }, bound_ok
 

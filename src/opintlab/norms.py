@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NotPsd, ShapeMismatch
 from .linalg import NormalOperator, as_matrix, divide_by_largest
 from .opint import check_grid_ops
-from .sdp import solve_gamma2_sdp
+from .sdp import _solve_stack, solve_gamma2_sdp
 from .symbols import SymbolGrid, middle_slices, sup_norm
 
 DEFAULT_RESTARTS = 64
@@ -52,8 +52,9 @@ class NormEstimate:
     upper_certificate: optional upper bound from a factorization certificate.
     restarts_used: number of ascent restarts behind the value (0 if none).
     converged: False when the best restart reached the sweep cap without
-        settling, or a solve stopped short of its gap tolerance; the bounds
-        are then still valid.
+        settling, or a solve stopped short of its gap tolerance (a slice
+        left as "Dominated", which cannot carry the value, does not count);
+        the bounds are then still valid.
     """
 
     value: float
@@ -277,13 +278,16 @@ def trilinear_factor_norm(phi: SymbolGrid) -> tuple[NormEstimate, FactorizationP
     """Trace-norm-output norm of the order-3 transform, by middle-axis slices.
 
     The norm equals the largest factorization norm among the grid's middle
-    slices.  The returned pair places every slice's factorization in one
-    (n1+n3)-dimensional space, as a(., k) only pairs with b(., k), rebalanced
-    so that norm_a * norm_b does not exceed the reported value; slices of
-    value 0 keep zero vectors.
+    slices.  The nonzero slices are solved in one stack; only the largest
+    has to be tight, so a slice leaves it as "Dominated" once its upper
+    bound is at or below another slice's lower bound.  ``converged`` holds
+    when every slice is "Optimal" or "Dominated".  The returned pair places
+    every slice's factorization in one (n1+n3)-dimensional space, as
+    a(., k) only pairs with b(., k), rebalanced so that norm_a * norm_b does
+    not exceed the reported value; slices of value 0 keep zero vectors.
     """
     n1, n2, n3 = phi.shape
-    sols = [solve_gamma2_sdp(mat) for mat in middle_slices(phi)]
+    sols = _solve_stack(middle_slices(phi), prune=True)
     best = max(sols, key=lambda sol: sol.value)
     value = best.value
 
@@ -302,7 +306,7 @@ def trilinear_factor_norm(phi: SymbolGrid) -> tuple[NormEstimate, FactorizationP
         witness={"gram": best.gram},
         upper_certificate=value,
         restarts_used=0,
-        converged=all(sol.status == "Optimal" for sol in sols),
+        converged=all(sol.status in ("Optimal", "Dominated") for sol in sols),
     )
     return estimate, FactorizationPair(a=fam_a, b=fam_b)
 

@@ -87,24 +87,49 @@ def _finite_result(out: np.ndarray, symbol: str, values, args) -> np.ndarray:
     return out
 
 
+def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
+    """``x`` times 2**exponent, exact unless it leaves the normal range; the
+    real and imaginary parts are scaled apart, as the factor itself may not
+    be representable."""
+    out = np.empty_like(x)
+    out.real, out.imag = np.ldexp(x.real, exponent), np.ldexp(x.imag, exponent)
+    return out
+
+
+def _unit_scaled(args):
+    """Each argument whose largest modulus is 1 or more divided by the power
+    of two that brings that modulus into [1/2, 1), and the sum of those
+    exponents.
+
+    Products of large symbol values and large arguments then stay in range
+    on the way to a result that is representable; multiplying the result
+    by 2 to the summed exponents undoes the scaling exactly.  Smaller
+    arguments are left alone: scaling them up could overflow the products
+    of a symbol near the float limit.
+    """
+    exponents = [max(0, int(np.frexp(np.max(np.abs(arg)))[1])) for arg in args]
+    return [_ldexp(arg, -e) for arg, e in zip(args, exponents)], sum(exponents)
+
+
 def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     """Rotate the arguments into the eigenbases, contract, rotate back.
 
     The einsum runs without ``optimize``, so it walks the grid once and
     allocates only the rotated arguments and the output, never an
-    intermediate of grid size.  A result that overflows raises
-    :class:`NumericalBreakdown`.
+    intermediate of grid size.  Large rotated arguments enter it scaled
+    down by powers of two (see :func:`_unit_scaled`).  A result that
+    overflows raises :class:`NumericalBreakdown`.
     """
     _check_chain(ops, args, grid)
-    rotated = [
+    rotated, exponent = _unit_scaled([
         ops[m].eigenbasis.conj().T @ arg @ ops[m + 1].eigenbasis
         for m, arg in enumerate(args)
-    ]
+    ])
     letters = _AXIS_LETTERS[: len(ops)]
     spec = ",".join([letters] + [letters[m : m + 2] for m in range(len(args))])
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         core = np.einsum(f"{spec}->{letters[0]}{letters[-1]}", grid.values, *rotated)
-        out = ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
+        out = _ldexp(ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T, exponent)
     return _finite_result(out, "grid", [grid.values], args)
 
 
@@ -142,11 +167,13 @@ def separable_apply(ops, terms, args) -> np.ndarray:
     that operator's eigenvalue list.  This is the direct evaluation path for
     symbols of the form sum_t f1_t (x) ... (x) fn_t; it must agree with
     :func:`moi_apply` on the summed elementary-tensor grid, overflow included.
+    Large arguments enter scaled down by powers of two, as there.
     """
     ops = list(ops)
     args = [as_matrix(a) for a in args]
     _check_chain(ops, args)
     n = len(ops)
+    scaled, exponent = _unit_scaled(args)
     out = np.zeros((ops[0].dim, ops[-1].dim), dtype=np.complex128)
     values = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -157,8 +184,9 @@ def separable_apply(ops, terms, args) -> np.ndarray:
             values += factors
             acc = apply_function(ops[0], factors[0])
             for m in range(n - 1):
-                acc = acc @ args[m] @ apply_function(ops[m + 1], factors[m + 1])
+                acc = acc @ scaled[m] @ apply_function(ops[m + 1], factors[m + 1])
             out += acc
+        out = _ldexp(out, exponent)
     return _finite_result(out, "term value", values, args)
 
 

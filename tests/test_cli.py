@@ -154,6 +154,26 @@ def test_contraction_bound_holds_at_any_scale(tmp_path, capsys, command, scale):
         assert doc["outputs"]["result_s2"] == pytest.approx(bound, rel=1e-12)
 
 
+def test_contraction_bound_beyond_the_float_range(tmp_path, capsys):
+    # sup|grid| * ||X||_2 * ||Y||_2 is about 1e320, but the huge entry meets
+    # a zero of X: the result diag(1e20, 0) is checked against the bound
+    # scale free, and the bound is reported as null.
+    op = _matrix_file(tmp_path, "op.json", np.diag([1.0, 2.0]))
+    values = np.ones((2, 2, 2))
+    values[1, 1, 1] = 1e300
+    axes = (np.array([1.0, 2.0]),) * 3
+    grid = _write(tmp_path, "grid.json", grid_to_json(SymbolGrid(axes=axes, values=values)))
+    argv = ["toi", "--op-a", op, "--op-b", op, "--op-c", op, "--grid", grid,
+            "--x", _matrix_file(tmp_path, "x.json", np.diag([1e10, 0.0])),
+            "--y", _matrix_file(tmp_path, "y.json", np.diag([1e10, 1.0]))]
+    code, doc = _run_json(capsys, argv)
+    assert code == 0
+    out = doc["outputs"]
+    assert out["bound_ok"] is True
+    assert out["contraction_bound"] is None
+    assert out["result_s2"] == pytest.approx(1e20, rel=1e-15)
+
+
 @pytest.mark.parametrize("command", ["doi", "toi"])
 def test_overflowing_transform_exits_one(tmp_path, capsys, command):
     dims = [2, 2] if command == "doi" else [2, 2, 2]

@@ -224,25 +224,50 @@ class TestTrilinearFactor:
         np.testing.assert_array_equal(pair.reconstruct(), zeros.values)
 
     def test_every_slice_goes_through_the_solver(self, monkeypatch):
-        # Zero slices take the solver's own zero path; the witness is the
-        # best slice's Gram matrix.
+        # The nonzero slices go through one call of the stacked core; zero
+        # slices take the solver's own zero path; the witness is the best
+        # slice's Gram matrix.
         _, grid = _instance((2, 3, 2), seed=11)
         values = np.asarray(grid.values).copy()
         values[:, 1, :] = 0.0
         grid = SymbolGrid(axes=grid.axes, values=values)
-        solved = []
+        stacks, solved = [], []
+        core, solve_stack = sdp._solve, norms._solve_stack
 
-        def counting_solve(s):
-            sol = solve_gamma2_sdp(s)
-            solved.append(sol)
-            return sol
+        def counting_core(s, gap_tol, scales=None):
+            stacks.append(s.shape[0])
+            return core(s, gap_tol, scales)
 
-        monkeypatch.setattr(norms, "solve_gamma2_sdp", counting_solve)
+        def recording_stack(mats, *args, **kwargs):
+            sols = solve_stack(mats, *args, **kwargs)
+            solved.extend(sols)
+            return sols
+
+        monkeypatch.setattr(sdp, "_solve", counting_core)
+        monkeypatch.setattr(norms, "_solve_stack", recording_stack)
         est, _ = trilinear_factor_norm(grid)
+        assert stacks == [2]
         assert len(solved) == 3
         assert solved[1].value == 0.0 and solved[1].status == "Optimal"
         best = max(solved, key=lambda sol: sol.value)
         assert est.witness["gram"] is best.gram
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    @pytest.mark.parametrize("n,field", [(16, "real"), (6, "complex")])
+    def test_value_is_the_largest_slice_solve_exactly(self, n, field, scale):
+        # Pruned slices cannot win, and the others are solved as alone.
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, n, n))
+        if field == "complex":
+            values = values + 1j * rng.standard_normal((n, n, n))
+        axes = (np.arange(n, dtype=complex),) * 3
+        grid = SymbolGrid(axes=axes, values=scale * values)
+        est, _ = trilinear_factor_norm(grid)
+        alone = [solve_gamma2_sdp(m) for m in middle_slices(grid)]
+        best = max(alone, key=lambda sol: sol.value)
+        assert est.value == best.value
+        np.testing.assert_array_equal(est.witness["gram"], best.gram)
+        assert est.converged
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,52 @@ def test_overflowing_result_is_a_breakdown():
     np.testing.assert_array_equal(out, np.diag([1e20, 0.0]))
 
 
+def test_huge_symbol_against_huge_and_tiny_arguments():
+    # 1e300 * 1e100 overflows on the way, but the result 1e300 * I does not.
+    op = NormalOperator.from_eigensystem(np.arange(3.0))
+    phi = SymbolGrid(axes=(op.eigenvalues,) * 3, values=np.full((3, 3, 3), 1e300))
+    out = toi_apply(op, op, op, phi, 1e100 * np.eye(3), 1e-100 * np.eye(3))
+    np.testing.assert_allclose(out, 1e300 * np.eye(3), rtol=1e-15, atol=0.0)
+    terms = [[np.full(3, 1e300), np.ones(3), np.ones(3)]]
+    out = separable_apply([op] * 3, terms, [1e100 * np.eye(3), 1e-100 * np.eye(3)])
+    np.testing.assert_allclose(out, 1e300 * np.eye(3), rtol=1e-15, atol=0.0)
+    # Small arguments are not scaled up: against a symbol at the float limit
+    # that would overflow the sum over the middle index.
+    phi = SymbolGrid(axes=(op.eigenvalues,) * 3, values=np.full((3, 3, 3), 1e308))
+    tiny = np.full((3, 3), 1e-10)
+    out = toi_apply(op, op, op, phi, tiny, tiny)
+    np.testing.assert_allclose(out, np.full((3, 3), 3e288), rtol=1e-15, atol=0.0)
+
+
+def test_power_of_two_scaling_changes_no_bit():
+    # Scaling the arguments by powers of two and the result back is exact:
+    # random chains of every order match the unscaled contraction bit for bit.
+    rng = np.random.default_rng(77)
+    for trial in range(30):
+        order = 2 + trial % 5
+        dims = [int(d) for d in rng.integers(1, 5, size=order)]
+        ops = [random_normal_operator(rng, d) for d in dims]
+        grid = _random_grid(rng, ops)
+        args = [10.0 ** rng.integers(-20, 21) * random_complex(rng, (dims[m], dims[m + 1]))
+                for m in range(order - 1)]
+        rotated = [ops[m].eigenbasis.conj().T @ arg @ ops[m + 1].eigenbasis
+                   for m, arg in enumerate(args)]
+        letters = "abcdefg"[:order]
+        spec = ",".join([letters] + [letters[m : m + 2] for m in range(order - 1)])
+        core = np.einsum(f"{spec}->{letters[0]}{letters[-1]}", grid.values, *rotated)
+        plain = ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
+        np.testing.assert_array_equal(moi_apply(ops, grid, args), plain)
+
+        terms = [[random_complex(rng, d) for d in dims] for _ in range(2)]
+        plain = np.zeros((dims[0], dims[-1]), dtype=complex)
+        for term in terms:
+            acc = apply_function(ops[0], term[0])
+            for m in range(order - 1):
+                acc = acc @ args[m] @ apply_function(ops[m + 1], term[m + 1])
+            plain += acc
+        np.testing.assert_array_equal(separable_apply(ops, terms, args), plain)
+
+
 # ---------------------------------------------------------------------------
 # higher orders
 

@@ -379,6 +379,73 @@ def test_complex_gram_blocks_are_hermitian():
 
 
 # ---------------------------------------------------------------------------
+# the stacked core: one member alone and among others, and pruning
+
+
+def _same_solution(a, b):
+    assert a.value == b.value
+    np.testing.assert_array_equal(a.gram, b.gram)
+    assert a.duality_gap == b.duality_gap
+    assert a.iterations == b.iterations
+    assert a.status == b.status
+    for w, w_alone in zip(a.dual_weights, b.dual_weights):
+        np.testing.assert_array_equal(w, w_alone)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_a_member_is_solved_alone_and_in_any_stack_alike(field):
+    # Each member keeps its own weight, line search, centers and budget, and
+    # every stacked call works on each member alone: a member's solution is
+    # bit-identical alone, in a stack, in another order, or with a zero
+    # matrix that takes the zero path beside it.
+    rng = np.random.default_rng(41)
+    mats = [rng.standard_normal((3, 4)) for _ in range(5)]
+    if field == "complex":
+        mats = [m + 1j * rng.standard_normal((3, 4)) for m in mats]
+    mats[2] = 1e150 * mats[2]
+    mats[4] = 1e-150 * mats[4]
+    alone = [solve_gamma2_sdp(m) for m in mats]
+    for order in ([0, 1, 2, 3, 4], [4, 2, 0], [3, 1]):
+        stacked = sdp._solve_stack([mats[k] for k in order] + [np.zeros((3, 4))])
+        assert stacked[-1].value == 0.0 and stacked[-1].status == "Optimal"
+        for k, sol in zip(order, stacked):
+            _same_solution(sol, alone[k])
+
+
+def test_pruning_leaves_unpruned_members_unchanged():
+    rng = np.random.default_rng(42)
+    mats = [scale * rng.standard_normal((4, 4)) for scale in (1.0, 3.0, 1.1, 0.2, 1.05)]
+    pruned = sdp._solve_stack(mats, prune=True)
+    assert any(sol.status == "Dominated" for sol in pruned)
+    for mat, sol in zip(mats, pruned):
+        if sol.status != "Dominated":
+            _same_solution(sol, solve_gamma2_sdp(mat))
+
+
+def test_dominated_members_cannot_win():
+    # A member leaves as Dominated once its certified upper bound is at or
+    # below another member's certified lower bound; its Gram matrix is still
+    # a feasible factorization of its own data.
+    rng = np.random.default_rng(43)
+    mats = [scale * random_complex(rng, (3, 5)) for scale in (1.0, 0.9, 1.2, 0.5, 1.15, 1.0)]
+    sols = sdp._solve_stack(mats, prune=True)
+    dominated = [k for k, sol in enumerate(sols) if sol.status == "Dominated"]
+    assert dominated
+    winner = max(sols, key=lambda sol: sol.value)
+    assert winner.status == "Optimal"
+    k_win = sols.index(winner)
+    a, b = winner.dual_weights
+    top = np.abs(mats[k_win]).max()
+    weighted = np.sqrt(a)[:, None] * (mats[k_win] / top) * np.sqrt(b)[None, :]
+    winner_lower = top * np.linalg.svd(weighted, compute_uv=False).sum()
+    for k in dominated:
+        sol = sols[k]
+        assert sol.value <= winner_lower
+        assert sol.iterations < solve_gamma2_sdp(mats[k]).iterations
+        _check_certificates(sol, mats[k])
+
+
+# ---------------------------------------------------------------------------
 # scale independence, the Newton system in the field of the data, and memory
 
 
