@@ -130,22 +130,31 @@ def _transform_report(result, grid: SymbolGrid, args):
     """A transform's result and the contraction check ||result||_2 <=
     sup|grid| * ||X1||_2 * ... * ||Xn||_2.
 
-    The check is scale free: ||result||_2 is divided by sup|grid| and then
-    by each ||Xm||_2 in turn, so a bound beyond the float range still
-    decides it.  The bound itself is reported as null when it is not
-    representable.
+    Every norm is split into a mantissa and a power of two, and the check
+    compares the product of the factors' mantissas with ||result||_2 scaled
+    by the summed powers, so no intermediate leaves the float range and a
+    bound beyond it still decides the check.  Where the product stays in
+    range this is the plain comparison bit for bit.  The bound itself is
+    reported as null when it is not representable.
     """
-    factors = [sup_norm(grid)] + [schatten_norm(arg, 2) for arg in args]
+    mantissa, exponent = 1.0, 0
+    for factor in [sup_norm(grid)] + [schatten_norm(arg, 2) for arg in args]:
+        part, power = math.frexp(factor)
+        mantissa, exponent = mantissa * part, exponent + power
     out_norm = schatten_norm(result, 2)
-    ratio = out_norm
-    for factor in factors:
-        ratio = ratio / factor if factor else np.inf
-    bound_ok = bool(out_norm == 0.0 or ratio <= 1.0 + 1e-10)
-    bound = math.prod(factors)
+    part, power = math.frexp(out_norm)
+    # The right side is below 2, so a power of two past 2**64 cannot change
+    # the answer.
+    scaled = math.ldexp(part, min(power - exponent, 64))
+    bound_ok = bool(out_norm == 0.0 or scaled <= mantissa * (1.0 + 1e-10))
+    try:
+        bound = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        bound = None
     return {
         "result": matrix_to_json(result),
         "result_s2": out_norm,
-        "contraction_bound": bound if math.isfinite(bound) else None,
+        "contraction_bound": bound,
         "bound_ok": bound_ok,
     }, bound_ok
 

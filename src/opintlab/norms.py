@@ -278,16 +278,17 @@ def trilinear_factor_norm(phi: SymbolGrid) -> tuple[NormEstimate, FactorizationP
     """Trace-norm-output norm of the order-3 transform, by middle-axis slices.
 
     The norm equals the largest factorization norm among the grid's middle
-    slices.  The nonzero slices are solved in one stack; only the largest
-    has to be tight, so a slice leaves it as "Dominated" once its upper
-    bound is at or below another slice's lower bound.  ``converged`` holds
-    when every slice is "Optimal" or "Dominated".  The returned pair places
-    every slice's factorization in one (n1+n3)-dimensional space, as
-    a(., k) only pairs with b(., k), rebalanced so that norm_a * norm_b does
-    not exceed the reported value; slices of value 0 keep zero vectors.
+    slices.  The nonzero slices are solved in one call, in one stack per
+    field; only the largest has to be tight, so a slice leaves as
+    "Dominated" once its upper bound is at or below another slice's lower
+    bound.  ``converged`` holds when every slice is "Optimal" or
+    "Dominated".  The returned pair places every slice's factorization in
+    one (n1+n3)-dimensional space, as a(., k) only pairs with b(., k),
+    rebalanced so that norm_a * norm_b does not exceed the reported value;
+    slices of value 0 keep zero vectors.
     """
     n1, n2, n3 = phi.shape
-    sols = _solve_stack(middle_slices(phi), prune=True)
+    sols = _solve_stack(middle_slices(phi))
     best = max(sols, key=lambda sol: sol.value)
     value = best.value
 

@@ -96,19 +96,32 @@ def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
     return out
 
 
-def _unit_scaled(args):
-    """Each argument whose largest modulus is 1 or more divided by the power
-    of two that brings that modulus into [1/2, 1), and the sum of those
-    exponents.
+# Bound, as a power of two, on the running magnitude of a rescaled product
+# chain; it leaves a factor 2**64 of headroom for the sums.
+_RESCALED_LEVEL = 960
 
-    Products of large symbol values and large arguments then stay in range
-    on the way to a result that is representable; multiplying the result
-    by 2 to the summed exponents undoes the scaling exactly.  Smaller
-    arguments are left alone: scaling them up could overflow the products
-    of a symbol near the float limit.
+
+def _exponent(values) -> int:
+    """The binary exponent e of the largest modulus m, 2**(e-1) <= m < 2**e
+    (0 when every value is 0)."""
+    return int(np.frexp(np.max(np.abs(values)))[1])
+
+
+def _down_shifts(level: int, steps) -> list[int]:
+    """Powers of two to divide the arguments of an overflowing product chain
+    by, so that its running magnitude stays below 2**_RESCALED_LEVEL.
+
+    ``level`` bounds the binary exponent of the factor before the first
+    argument, and ``steps[m]`` what argument m adds to it together with any
+    factor that follows it.  Each argument is scaled down only as far as the
+    bound needs, so a chain that stays in range keeps every bit.
     """
-    exponents = [max(0, int(np.frexp(np.max(np.abs(arg)))[1])) for arg in args]
-    return [_ldexp(arg, -e) for arg, e in zip(args, exponents)], sum(exponents)
+    shifts = []
+    for step in steps:
+        level += step
+        shifts.append(max(0, level - _RESCALED_LEVEL))
+        level -= shifts[-1]
+    return shifts
 
 
 def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
@@ -116,21 +129,32 @@ def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
 
     The einsum runs without ``optimize``, so it walks the grid once and
     allocates only the rotated arguments and the output, never an
-    intermediate of grid size.  Large rotated arguments enter it scaled
-    down by powers of two (see :func:`_unit_scaled`).  A result that
+    intermediate of grid size.  It multiplies grid * X1~ * X2~ ... left to
+    right; when that overflows, it runs again on arguments scaled down by
+    powers of two (:func:`_down_shifts`, from the grid's and the arguments'
+    largest moduli), and the result is scaled back.  A result that still
     overflows raises :class:`NumericalBreakdown`.
     """
     _check_chain(ops, args, grid)
-    rotated, exponent = _unit_scaled([
+    rotated = [
         ops[m].eigenbasis.conj().T @ arg @ ops[m + 1].eigenbasis
         for m, arg in enumerate(args)
-    ])
+    ]
     letters = _AXIS_LETTERS[: len(ops)]
     spec = ",".join([letters] + [letters[m : m + 2] for m in range(len(args))])
+    spec = f"{spec}->{letters[0]}{letters[-1]}"
+
+    def contract(factors):
+        core = np.einsum(spec, grid.values, *factors)
+        return ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
+
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        core = np.einsum(f"{spec}->{letters[0]}{letters[-1]}", grid.values, *rotated)
-        out = _ldexp(ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T, exponent)
-    return _finite_result(out, "grid", [grid.values], args)
+        out = contract(rotated)
+        if not np.all(np.isfinite(out)):
+            shifts = _down_shifts(_exponent(grid.values), map(_exponent, rotated))
+            scaled = [_ldexp(arg, -shift) for arg, shift in zip(rotated, shifts)]
+            out = _finite_result(_ldexp(contract(scaled), sum(shifts)), "grid", [grid.values], args)
+    return out
 
 
 def doi_apply(op_a: NormalOperator, op_b: NormalOperator, psi: SymbolGrid, x) -> np.ndarray:
@@ -166,28 +190,37 @@ def separable_apply(ops, terms, args) -> np.ndarray:
     Each term is a sequence of n value vectors, one per operator, sampled on
     that operator's eigenvalue list.  This is the direct evaluation path for
     symbols of the form sum_t f1_t (x) ... (x) fn_t; it must agree with
-    :func:`moi_apply` on the summed elementary-tensor grid, overflow included.
-    Large arguments enter scaled down by powers of two, as there.
+    :func:`moi_apply` on the summed elementary-tensor grid, overflow included;
+    a product that overflows on the way is evaluated again on arguments
+    scaled down by powers of two, as there.
     """
     ops = list(ops)
     args = [as_matrix(a) for a in args]
     _check_chain(ops, args)
     n = len(ops)
-    scaled, exponent = _unit_scaled(args)
-    out = np.zeros((ops[0].dim, ops[-1].dim), dtype=np.complex128)
-    values = []
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    terms = [list(term) for term in terms]
+    if any(len(factors) != n for factors in terms):
+        raise ShapeMismatch("each term needs one value vector per operator")
+
+    def contract(factors):
+        out = np.zeros((ops[0].dim, ops[-1].dim), dtype=np.complex128)
         for term in terms:
-            factors = list(term)
-            if len(factors) != n:
-                raise ShapeMismatch("each term needs one value vector per operator")
-            values += factors
-            acc = apply_function(ops[0], factors[0])
+            acc = apply_function(ops[0], term[0])
             for m in range(n - 1):
-                acc = acc @ scaled[m] @ apply_function(ops[m + 1], factors[m + 1])
+                acc = acc @ factors[m] @ apply_function(ops[m + 1], term[m + 1])
             out += acc
-        out = _ldexp(out, exponent)
-    return _finite_result(out, "term value", values, args)
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = contract(args)
+        if not np.all(np.isfinite(out)):
+            tops = [max(_exponent(term[m]) for term in terms) for m in range(n)]
+            steps = [_exponent(arg) + top for arg, top in zip(args, tops[1:])]
+            shifts = _down_shifts(tops[0], steps)
+            scaled = [_ldexp(arg, -shift) for arg, shift in zip(args, shifts)]
+            values = [f for term in terms for f in term]
+            out = _finite_result(_ldexp(contract(scaled), sum(shifts)), "term value", values, args)
+    return out
 
 
 def doi_via_toi(

@@ -108,10 +108,7 @@ class SdpSolution:
 
 
 def _gram(s: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    ph = p.shape[0]
-    g = np.empty((ph + q.shape[0],) * 2, dtype=np.result_type(s, p, q))
-    g[:ph, :ph], g[:ph, ph:], g[ph:, :ph], g[ph:, ph:] = p, s, s.conj().T, q
-    return g
+    return np.block([[p, s], [s.conj().T, q]])
 
 
 def _h(x: np.ndarray) -> np.ndarray:
@@ -294,14 +291,12 @@ def _verified_dual_bound(s: np.ndarray, w: np.ndarray):
     ``_EIG_GUARD`` times the largest singular value for roundoff.  An
     unusable candidate gives (-inf, None).
     """
-    if not np.isfinite(w).all():
+    if not np.all(np.isfinite(w)):
         return -np.inf, None
-    w = np.maximum(w, 0.0)
-    a, b = w[: s.shape[0]], w[s.shape[0] :]
-    a_sum, b_sum = a.sum(), b.sum()
-    if a_sum <= 0.0 or b_sum <= 0.0:
+    a, b = np.split(np.maximum(w, 0.0), [s.shape[0]])
+    if a.sum() <= 0.0 or b.sum() <= 0.0:
         return -np.inf, None
-    a, b = a / a_sum, b / b_sum
+    a, b = a / a.sum(), b / b.sum()
     sv = np.linalg.svd(np.sqrt(a)[:, None] * s * np.sqrt(b)[None, :], compute_uv=False)
     return float(sv.sum() - _EIG_GUARD * sv[0]), (a, b)
 
@@ -317,14 +312,14 @@ def _verified_primal(s: np.ndarray, p: np.ndarray, q: np.ndarray):
     ph, qh = s.shape
     g = _gram(s, p, q)
     g = (g + g.conj().T) / 2.0
-    if not np.isfinite(g).all():
+    if not np.all(np.isfinite(g)):
         return None
     evals = np.linalg.eigvalsh(g)
     scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
     delta = max(0.0, -float(evals[0])) + _EIG_GUARD * scale
     pp = g[:ph, :ph] + delta * np.eye(ph)
     qq = g[ph:, ph:] + delta * np.eye(qh)
-    t = float(max(pp.diagonal().real.max(), qq.diagonal().real.max()))
+    t = float(max(np.max(np.diag(pp).real), np.max(np.diag(qq).real)))
     return pp, qq, t
 
 
@@ -375,7 +370,7 @@ class _Certificates:
             # A verified value is the largest diagonal entry plus a ridge, so
             # a candidate whose diagonal already reaches the upper bound
             # cannot win.
-            if cand_g.diagonal().real.max() < self.upper:
+            if np.max(np.diag(cand_g).real) < self.upper:
                 verified = _verified_primal(s, cand_g[:ph, :ph], cand_g[ph:, ph:])
                 if verified is not None and verified[2] < self.upper:
                     self.blocks = verified[:2]
@@ -426,31 +421,34 @@ def _line_search(g, t, phi, dg, dt, decrement, mu, start):
     return tuple(part[order] for part in parts)
 
 
-def _dominated(upper: np.ndarray, lower: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Problems whose upper bound is at or below another problem's lower
-    bound, both multiplied by the problems' scales."""
-    floor = scales * lower
-    if floor.size < 2:
-        return np.zeros(floor.shape, dtype=bool)
-    second, first = np.argsort(floor)[-2:]
-    others = np.full(floor.shape, floor[first])
-    others[first] = floor[second]
-    return scales * upper <= others
+def _dominated(upper: np.ndarray, lower: np.ndarray, scales: np.ndarray, floor: float) -> np.ndarray:
+    """Problems whose upper bound is at or below ``floor`` or another
+    problem's lower bound, both multiplied by the problems' scales.  An
+    upper bound whose product leaves the float range is never below."""
+    with np.errstate(over="ignore"):
+        lows, highs = scales * lower, scales * upper
+    others = np.full(lows.shape, floor)
+    if lows.size >= 2:
+        second, first = np.argsort(lows)[-2:]
+        others = np.maximum(others, lows[first])
+        others[first] = max(floor, lows[second])
+    return np.isfinite(highs) & (highs <= others)
 
 
-def _solve(s: np.ndarray, gap_tol: float, scales=None) -> list:
+def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float) -> list:
     """Path-following on a (B, p, q) stack of programs in the field of ``s``.
 
-    Each member of ``s`` is divided by its largest entry.  A member leaves
-    the stack once its gap is within ``gap_tol`` ("Optimal") or it is out of
-    steps or weight ("MaxIter").  With ``scales`` (each member's largest
-    entry) a member also leaves once its upper bound times its scale is at
-    or below another member's lower bound times that one's scale
-    ("Dominated"): it cannot have the largest norm.
+    Each member of ``s`` is divided by its largest entry, its ``scales``
+    entry.  A member leaves the stack once its gap is within ``gap_tol``
+    ("Optimal") or it is out of steps or weight ("MaxIter").  It also
+    leaves once its upper bound times its scale is at or below ``floor`` (a
+    lower bound from outside the stack) or another member's lower bound
+    times that one's scale ("Dominated"): it cannot have the largest norm.
+    A stack of one with ``floor`` = -inf is never pruned.
 
     Returns, per member, the best verified primal blocks, their value, the
-    certified gap, the Newton step count (at most ``MAX_ITER``), the status
-    and the dual weights (a, b) of the best lower bound.
+    best lower bound, the Newton step count (at most ``MAX_ITER``), the
+    status and the dual weights (a, b) of the lower bound.
     """
     nb, ph, qh = s.shape
     n = ph + qh
@@ -477,7 +475,7 @@ def _solve(s: np.ndarray, gap_tol: float, scales=None) -> list:
     inner = np.zeros(nb, dtype=int)  # Newton steps at the current weight
     used = np.zeros(nb, dtype=int)
     certs = [_Certificates(member) for member in s]
-    outcome = [None] * nb  # (gap, steps, status) of each problem
+    outcome = [None] * nb  # (steps, status) of each problem
 
     while ids.size:
         dg, dt, decrement = system.step(mu)
@@ -486,12 +484,13 @@ def _solve(s: np.ndarray, gap_tol: float, scales=None) -> list:
             finite = np.isfinite(decrement) & np.isfinite(dg).all(axis=(1, 2))
             if not finite[live].all():
                 raise NumericalBreakdown("Newton step is not finite")
-        moving = live & (decrement > threshold)
-        rows = slice(None) if moving.all() else np.flatnonzero(moving)
-        won, new_g, new_t, new_chol, new_phi = _line_search(
-            g[rows], t[rows], phi[rows], dg[rows], dt[rows], decrement[rows], mu[rows], start[rows]
-        )
-        stepped = won if isinstance(rows, slice) else rows[won]
+        stepped = np.flatnonzero(live & (decrement > threshold))
+        if stepped.size:  # else every member is centered
+            rows = slice(None) if stepped.size == ids.size else stepped
+            won, new_g, new_t, new_chol, new_phi = _line_search(
+                g[rows], t[rows], phi[rows], dg[rows], dt[rows], decrement[rows], mu[rows], start[rows]
+            )
+            stepped = stepped[won]
         if stepped.size == ids.size:
             g, t, phi = new_g, new_t, new_phi
             system = _NewtonSystem(new_g, new_chol, new_t, ph)
@@ -518,9 +517,9 @@ def _solve(s: np.ndarray, gap_tol: float, scales=None) -> list:
             dual = mu[k] * _diagonal(system.m[k]).real
             gap = certs[ids[k]].harvest(mu[k], g[k].copy(), dual)
             if gap <= gap_tol:
-                outcome[ids[k]] = (gap, used[k], "Optimal")
+                outcome[ids[k]] = (used[k], "Optimal")
             elif used[k] >= MAX_ITER or mu[k] < _MU_FLOOR:
-                outcome[ids[k]] = (gap, used[k], "MaxIter")
+                outcome[ids[k]] = (used[k], "MaxIter")
             else:
                 # At a center, the Newton step toward the weight
                 # _MU_SHRINK * mu is 1 / _MU_SHRINK times the tangent step
@@ -532,13 +531,11 @@ def _solve(s: np.ndarray, gap_tol: float, scales=None) -> list:
                 threshold[k] = 1e-13 * max(1.0, abs(t[k])) * min(1.0, mu[k])
                 continue
             done[k] = True
-        if scales is not None:
-            upper = np.array([c.upper for c in certs])
-            lower = np.array([c.lower for c in certs])
-            for k in np.flatnonzero(_dominated(upper, lower, scales)[ids] & ~done):
-                i = ids[k]
-                outcome[i] = (max(0.0, upper[i] - lower[i]), used[k], "Dominated")
-                done[k] = True
+        upper = np.array([c.upper for c in certs])
+        lower = np.array([c.lower for c in certs])
+        for k in np.flatnonzero(_dominated(upper, lower, scales, floor)[ids] & ~done):
+            outcome[ids[k]] = (used[k], "Dominated")
+            done[k] = True
         if done.any():
             keep = ~done
             ids, g, t, phi = ids[keep], g[keep], t[keep], phi[keep]
@@ -547,20 +544,22 @@ def _solve(s: np.ndarray, gap_tol: float, scales=None) -> list:
             system.keep(keep)
 
     out = []
-    for cert, (gap, steps, status) in zip(certs, outcome):
+    for cert, (steps, status) in zip(certs, outcome):
         if cert.blocks is None:  # pragma: no cover - initial point always verifies
             raise NumericalBreakdown("no feasible iterate was certified")
-        out.append((*cert.blocks, cert.upper, gap, steps, status, cert.weights))
+        out.append((*cert.blocks, cert.upper, cert.lower, steps, status, cert.weights))
     return out
 
 
-def _solve_stack(mats, gap_tol: float = GAP_TOL, prune: bool = False) -> list:
+def _solve_stack(mats, gap_tol: float = GAP_TOL) -> list:
     """:class:`SdpSolution` for each matrix of a list of one shape.
 
-    Zero matrices take the zero path; the others are divided by their
-    largest entry and solved in one stack by :func:`_solve`, in complex
-    arithmetic if any of them is complex.  With ``prune`` a member leaves
-    as "Dominated" once it cannot have the largest norm of the list.
+    Zero matrices take the zero path.  The others are divided by their
+    largest entry and solved by :func:`_solve` in one stack per field, real
+    and complex apart, so each is solved in its own field as it would be
+    alone.  A member leaves as "Dominated" once it cannot have the largest
+    norm of the list: each stack also reads the lower bounds of the stacks
+    solved before it.
     """
     mats = [as_matrix(m) for m in mats]
     p_dim, q_dim = mats[0].shape
@@ -571,7 +570,7 @@ def _solve_stack(mats, gap_tol: float = GAP_TOL, prune: bool = False) -> list:
     if not 0.0 < gap_tol < np.inf:
         raise ValueError(f"gap_tol must be positive and finite, got {gap_tol}")
     sols = [None] * len(mats)
-    nonzero, tops, data = [], [], []
+    fields = {}  # the (index, largest entry, data / largest entry) of each field
     for k, mat in enumerate(mats):
         top, unit = divide_by_largest(mat)
         if top == 0.0:
@@ -580,24 +579,24 @@ def _solve_stack(mats, gap_tol: float = GAP_TOL, prune: bool = False) -> list:
             sols[k] = SdpSolution(value=0.0, gram=zeros, duality_gap=0.0, iterations=0,
                                   status="Optimal", dual_weights=weights)
         else:
-            nonzero.append(k)
-            tops.append(top)
-            data.append(unit)
-    if not nonzero:
-        return sols
-    try:
-        solved = _solve(np.stack(data), gap_tol, np.array(tops) if prune else None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"linear algebra failed in the solver: {exc}") from None
-    for k, top, (p, q, value, gap, iters, status, weights) in zip(nonzero, tops, solved):
-        sols[k] = SdpSolution(
-            value=float(top * value),
-            gram=_gram(mats[k], top * p, top * q),
-            duality_gap=float(top * gap),
-            iterations=int(iters),
-            status=status,
-            dual_weights=weights,
-        )
+            fields.setdefault(unit.dtype, []).append((k, top, unit))
+    floor = -np.inf
+    for members in fields.values():
+        ks, tops, data = zip(*members)
+        try:
+            solved = _solve(np.stack(data), gap_tol, np.array(tops), floor)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdown(f"linear algebra failed in the solver: {exc}") from None
+        for k, top, (p, q, value, lower, iters, status, weights) in zip(ks, tops, solved):
+            sols[k] = SdpSolution(
+                value=float(top * value),
+                gram=_gram(mats[k], top * p, top * q),
+                duality_gap=float(top * max(0.0, value - lower)),
+                iterations=int(iters),
+                status=status,
+                dual_weights=weights,
+            )
+            floor = max(floor, top * lower)
     return sols
 
 

@@ -154,24 +154,38 @@ def test_contraction_bound_holds_at_any_scale(tmp_path, capsys, command, scale):
         assert doc["outputs"]["result_s2"] == pytest.approx(bound, rel=1e-12)
 
 
-def test_contraction_bound_beyond_the_float_range(tmp_path, capsys):
+_SPIKE = np.ones((2, 2, 2))
+_SPIKE[1, 1, 1] = 1e300
+
+
+@pytest.mark.parametrize("values, x, y, bound, result_s2", [
     # sup|grid| * ||X||_2 * ||Y||_2 is about 1e320, but the huge entry meets
-    # a zero of X: the result diag(1e20, 0) is checked against the bound
-    # scale free, and the bound is reported as null.
+    # a zero of X: the result diag(1e20, 0) is checked against the bound,
+    # and the bound is reported as null.
+    (_SPIKE, np.diag([1e10, 0.0]), np.diag([1e10, 1.0]), None, 1e20),
+    # 1e-300 * ||1e300 I||_2 * ||1e10 I||_2 = 2e10 holds the result's norm
+    # sqrt(2) * 1e10, although ||result||_2 / sup|grid| alone overflows.
+    (np.full((2, 2, 2), 1e-300), 1e300 * np.eye(2), 1e10 * np.eye(2), 2e10,
+     np.sqrt(2.0) * 1e10),
+], ids=["beyond", "both-ends"])
+def test_contraction_bound_at_the_ends_of_the_float_range(
+    tmp_path, capsys, values, x, y, bound, result_s2
+):
     op = _matrix_file(tmp_path, "op.json", np.diag([1.0, 2.0]))
-    values = np.ones((2, 2, 2))
-    values[1, 1, 1] = 1e300
     axes = (np.array([1.0, 2.0]),) * 3
     grid = _write(tmp_path, "grid.json", grid_to_json(SymbolGrid(axes=axes, values=values)))
     argv = ["toi", "--op-a", op, "--op-b", op, "--op-c", op, "--grid", grid,
-            "--x", _matrix_file(tmp_path, "x.json", np.diag([1e10, 0.0])),
-            "--y", _matrix_file(tmp_path, "y.json", np.diag([1e10, 1.0]))]
+            "--x", _matrix_file(tmp_path, "x.json", x),
+            "--y", _matrix_file(tmp_path, "y.json", y)]
     code, doc = _run_json(capsys, argv)
     assert code == 0
     out = doc["outputs"]
     assert out["bound_ok"] is True
-    assert out["contraction_bound"] is None
-    assert out["result_s2"] == pytest.approx(1e20, rel=1e-15)
+    if bound is None:
+        assert out["contraction_bound"] is None
+    else:
+        assert out["contraction_bound"] == pytest.approx(bound, rel=1e-14)
+    assert out["result_s2"] == pytest.approx(result_s2, rel=1e-14)
 
 
 @pytest.mark.parametrize("command", ["doi", "toi"])

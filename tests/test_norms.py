@@ -234,9 +234,9 @@ class TestTrilinearFactor:
         stacks, solved = [], []
         core, solve_stack = sdp._solve, norms._solve_stack
 
-        def counting_core(s, gap_tol, scales=None):
+        def counting_core(s, *args):
             stacks.append(s.shape[0])
-            return core(s, gap_tol, scales)
+            return core(s, *args)
 
         def recording_stack(mats, *args, **kwargs):
             sols = solve_stack(mats, *args, **kwargs)
@@ -253,13 +253,16 @@ class TestTrilinearFactor:
         assert est.witness["gram"] is best.gram
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
-    @pytest.mark.parametrize("n,field", [(16, "real"), (6, "complex")])
+    @pytest.mark.parametrize("n,field", [(16, "real"), (6, "complex"), (3, "mixed")])
     def test_value_is_the_largest_slice_solve_exactly(self, n, field, scale):
-        # Pruned slices cannot win, and the others are solved as alone.
+        # Pruned slices cannot win, and the others are solved as alone; in
+        # the mixed grid, the slices with no imaginary part are real.
         rng = np.random.default_rng(n)
         values = rng.standard_normal((n, n, n))
-        if field == "complex":
+        if field != "real":
             values = values + 1j * rng.standard_normal((n, n, n))
+        if field == "mixed":
+            values[:, ::2, :] = values[:, ::2, :].real
         axes = (np.arange(n, dtype=complex),) * 3
         grid = SymbolGrid(axes=axes, values=scale * values)
         est, _ = trilinear_factor_norm(grid)

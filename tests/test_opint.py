@@ -335,17 +335,25 @@ def test_huge_symbol_against_huge_and_tiny_arguments():
     terms = [[np.full(3, 1e300), np.ones(3), np.ones(3)]]
     out = separable_apply([op] * 3, terms, [1e100 * np.eye(3), 1e-100 * np.eye(3)])
     np.testing.assert_allclose(out, 1e300 * np.eye(3), rtol=1e-15, atol=0.0)
-    # Small arguments are not scaled up: against a symbol at the float limit
-    # that would overflow the sum over the middle index.
+    # A chain that stays in range is not rescaled: a symbol at the float
+    # limit against small arguments, and a tiny symbol against a large and
+    # then a small argument, whose products would turn subnormal if the large
+    # argument were scaled down.
     phi = SymbolGrid(axes=(op.eigenvalues,) * 3, values=np.full((3, 3, 3), 1e308))
     tiny = np.full((3, 3), 1e-10)
     out = toi_apply(op, op, op, phi, tiny, tiny)
     np.testing.assert_allclose(out, np.full((3, 3), 3e288), rtol=1e-15, atol=0.0)
+    phi = SymbolGrid(axes=(op.eigenvalues,) * 3, values=np.full((3, 3, 3), 1e-300))
+    out = toi_apply(op, op, op, phi, 1e20 * np.eye(3), 1e-20 * np.eye(3))
+    np.testing.assert_allclose(out, 1e-300 * np.eye(3), rtol=1e-15, atol=0.0)
+    terms = [[np.full(3, 1e-300), np.ones(3), np.ones(3)]]
+    out = separable_apply([op] * 3, terms, [1e20 * np.eye(3), 1e-20 * np.eye(3)])
+    np.testing.assert_allclose(out, 1e-300 * np.eye(3), rtol=1e-15, atol=0.0)
 
 
-def test_power_of_two_scaling_changes_no_bit():
-    # Scaling the arguments by powers of two and the result back is exact:
-    # random chains of every order match the unscaled contraction bit for bit.
+def test_chains_in_range_match_the_plain_contraction():
+    # Only an overflowing contraction is rescaled: random chains of every
+    # order match the plain formulas bit for bit.
     rng = np.random.default_rng(77)
     for trial in range(30):
         order = 2 + trial % 5

@@ -392,30 +392,35 @@ def _same_solution(a, b):
         np.testing.assert_array_equal(w, w_alone)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_a_member_is_solved_alone_and_in_any_stack_alike(field):
+def test_a_member_is_solved_alone_and_in_any_stack_alike(field, scale):
     # Each member keeps its own weight, line search, centers and budget, and
-    # every stacked call works on each member alone: a member's solution is
-    # bit-identical alone, in a stack, in another order, or with a zero
-    # matrix that takes the zero path beside it.
+    # every stacked call works on each member alone: a member that is not
+    # pruned is bit-identical alone, in a stack, in another order, or with a
+    # zero matrix that takes the zero path beside it.  The members are scaled
+    # to nearly the same norm, so that few of them can be pruned.
     rng = np.random.default_rng(41)
     mats = [rng.standard_normal((3, 4)) for _ in range(5)]
     if field == "complex":
         mats = [m + 1j * rng.standard_normal((3, 4)) for m in mats]
-    mats[2] = 1e150 * mats[2]
-    mats[4] = 1e-150 * mats[4]
+    mats = [scale / solve_gamma2_sdp(m).value * m for m in mats]
     alone = [solve_gamma2_sdp(m) for m in mats]
+    kept = 0
     for order in ([0, 1, 2, 3, 4], [4, 2, 0], [3, 1]):
         stacked = sdp._solve_stack([mats[k] for k in order] + [np.zeros((3, 4))])
         assert stacked[-1].value == 0.0 and stacked[-1].status == "Optimal"
         for k, sol in zip(order, stacked):
-            _same_solution(sol, alone[k])
+            if sol.status != "Dominated":
+                _same_solution(sol, alone[k])
+                kept += 1
+    assert kept >= 8
 
 
 def test_pruning_leaves_unpruned_members_unchanged():
     rng = np.random.default_rng(42)
     mats = [scale * rng.standard_normal((4, 4)) for scale in (1.0, 3.0, 1.1, 0.2, 1.05)]
-    pruned = sdp._solve_stack(mats, prune=True)
+    pruned = sdp._solve_stack(mats)
     assert any(sol.status == "Dominated" for sol in pruned)
     for mat, sol in zip(mats, pruned):
         if sol.status != "Dominated":
@@ -428,7 +433,7 @@ def test_dominated_members_cannot_win():
     # a feasible factorization of its own data.
     rng = np.random.default_rng(43)
     mats = [scale * random_complex(rng, (3, 5)) for scale in (1.0, 0.9, 1.2, 0.5, 1.15, 1.0)]
-    sols = sdp._solve_stack(mats, prune=True)
+    sols = sdp._solve_stack(mats)
     dominated = [k for k, sol in enumerate(sols) if sol.status == "Dominated"]
     assert dominated
     winner = max(sols, key=lambda sol: sol.value)
@@ -443,6 +448,24 @@ def test_dominated_members_cannot_win():
         assert sol.value <= winner_lower
         assert sol.iterations < solve_gamma2_sdp(mats[k]).iterations
         _check_certificates(sol, mats[k])
+
+
+def test_each_field_is_solved_in_its_own_stack():
+    # Real and complex members are solved apart, each as it would be alone,
+    # and the complex stack, solved after the real one, is pruned against the
+    # real members' lower bounds.
+    rng = np.random.default_rng(44)
+    mats = [3.0 * rng.standard_normal((3, 4)), random_complex(rng, (3, 4)),
+            rng.standard_normal((3, 4)), 0.5 * random_complex(rng, (3, 4))]
+    sols = sdp._solve_stack(mats)
+    assert sols[0].status == "Optimal"
+    _same_solution(sols[0], solve_gamma2_sdp(mats[0]))
+    assert [sols[k].status for k in (1, 3)] == ["Dominated", "Dominated"]
+    for k in (1, 2, 3):
+        if sols[k].status != "Dominated":
+            _same_solution(sols[k], solve_gamma2_sdp(mats[k]))
+        assert sols[k].value <= sols[0].value - sols[0].duality_gap
+        _check_certificates(sols[k], mats[k])
 
 
 # ---------------------------------------------------------------------------
