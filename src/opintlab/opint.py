@@ -10,7 +10,8 @@ an entrywise Schur product), ``toi_apply`` (order 3) and ``moi_apply``
     out[i1, in] = sum over i2..i_{n-1} of
         grid[i1, ..., in] * X1~[i1, i2] * ... * X_{n-1}~[i_{n-1}, in],
 
-evaluated by one plain ``np.einsum`` in a single pass over the grid.
+evaluated by one plain ``np.einsum`` in a single pass over the grid, on
+arguments scaled up front by powers of two that keep every product in range.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ _AXIS_LETTERS = "abcdefg"
 
 
 def check_grid_ops(grid: SymbolGrid, ops) -> None:
-    """Require one grid axis per operator, each equal to its eigenvalue list."""
+    """Require one grid axis per operator, each equal to its eigenvalue list
+    up to 1e-12 times the larger of the two lists' largest moduli."""
     if grid.order != len(ops):
         raise ShapeMismatch(
             f"grid order {grid.order} does not match {len(ops)} operators"
@@ -38,7 +40,7 @@ def check_grid_ops(grid: SymbolGrid, ops) -> None:
             raise ShapeMismatch(
                 f"grid axis {slot} has length {axis.size}, operator has dimension {op.dim}"
             )
-        tol = 1e-12 * (1.0 + np.max(np.abs(op.eigenvalues)))
+        tol = 1e-12 * max(np.abs(axis).max(), np.abs(op.eigenvalues).max())
         if not np.allclose(axis, op.eigenvalues, rtol=0.0, atol=tol):
             raise ShapeMismatch(
                 f"grid axis {slot} does not match the operator's eigenvalue list"
@@ -88,38 +90,41 @@ def _finite_result(out: np.ndarray, symbol: str, values, args) -> np.ndarray:
 
 
 def _ldexp(x: np.ndarray, exponent: int) -> np.ndarray:
-    """``x`` times 2**exponent, exact unless it leaves the normal range; the
-    real and imaginary parts are scaled apart, as the factor itself may not
-    be representable."""
+    """``x`` times 2**exponent (``x`` itself for 0), exact unless it leaves
+    the normal range; the real and imaginary parts are scaled apart, as the
+    factor itself may not be representable."""
+    if not exponent:
+        return x
     out = np.empty_like(x)
     out.real, out.imag = np.ldexp(x.real, exponent), np.ldexp(x.imag, exponent)
     return out
 
 
 # Bound, as a power of two, on the running magnitude of a rescaled product
-# chain; it leaves a factor 2**64 of headroom for the sums.
+# chain, above and below 1; it leaves a factor 2**64 of headroom for the sums.
 _RESCALED_LEVEL = 960
 
 
 def _exponent(values) -> int:
     """The binary exponent e of the largest modulus m, 2**(e-1) <= m < 2**e
-    (0 when every value is 0)."""
-    return int(np.frexp(np.max(np.abs(values)))[1])
+    (0 when every value is 0 or there is none)."""
+    return int(np.frexp(np.abs(values).max(initial=0.0))[1])
 
 
-def _down_shifts(level: int, steps) -> list[int]:
-    """Powers of two to divide the arguments of an overflowing product chain
-    by, so that its running magnitude stays below 2**_RESCALED_LEVEL.
+def _shifts(level: int, steps) -> list[int]:
+    """Powers of two to divide the arguments of a product chain by, so that
+    its running magnitude stays within 2**-_RESCALED_LEVEL..2**_RESCALED_LEVEL.
 
     ``level`` bounds the binary exponent of the factor before the first
     argument, and ``steps[m]`` what argument m adds to it together with any
-    factor that follows it.  Each argument is scaled down only as far as the
-    bound needs, so a chain that stays in range keeps every bit.
+    factor that follows it.  An argument is scaled down above the range and
+    up below it, each only as far as the bound needs, so a chain that stays
+    in range gets all-zero shifts and keeps every bit.
     """
     shifts = []
     for step in steps:
         level += step
-        shifts.append(max(0, level - _RESCALED_LEVEL))
+        shifts.append(level - min(max(level, -_RESCALED_LEVEL), _RESCALED_LEVEL))
         level -= shifts[-1]
     return shifts
 
@@ -130,31 +135,23 @@ def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     The einsum runs without ``optimize``, so it walks the grid once and
     allocates only the rotated arguments and the output, never an
     intermediate of grid size.  It multiplies grid * X1~ * X2~ ... left to
-    right; when that overflows, it runs again on arguments scaled down by
-    powers of two (:func:`_down_shifts`, from the grid's and the arguments'
-    largest moduli), and the result is scaled back.  A result that still
-    overflows raises :class:`NumericalBreakdown`.
+    right, on arguments scaled by the powers of two of :func:`_shifts`, so
+    that no partial product leaves the range; the result is scaled back, and
+    raises :class:`NumericalBreakdown` if that overflows.
     """
     _check_chain(ops, args, grid)
     rotated = [
         ops[m].eigenbasis.conj().T @ arg @ ops[m + 1].eigenbasis
         for m, arg in enumerate(args)
     ]
+    shifts = _shifts(grid.exponent, map(_exponent, rotated))
     letters = _AXIS_LETTERS[: len(ops)]
     spec = ",".join([letters] + [letters[m : m + 2] for m in range(len(args))])
     spec = f"{spec}->{letters[0]}{letters[-1]}"
-
-    def contract(factors):
-        core = np.einsum(spec, grid.values, *factors)
-        return ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T
-
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = contract(rotated)
-        if not np.all(np.isfinite(out)):
-            shifts = _down_shifts(_exponent(grid.values), map(_exponent, rotated))
-            scaled = [_ldexp(arg, -shift) for arg, shift in zip(rotated, shifts)]
-            out = _finite_result(_ldexp(contract(scaled), sum(shifts)), "grid", [grid.values], args)
-    return out
+        core = np.einsum(spec, grid.values, *[_ldexp(a, -s) for a, s in zip(rotated, shifts)])
+        out = _ldexp(ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T, sum(shifts))
+    return _finite_result(out, "grid", [grid.values], args)
 
 
 def doi_apply(op_a: NormalOperator, op_b: NormalOperator, psi: SymbolGrid, x) -> np.ndarray:
@@ -190,9 +187,9 @@ def separable_apply(ops, terms, args) -> np.ndarray:
     Each term is a sequence of n value vectors, one per operator, sampled on
     that operator's eigenvalue list.  This is the direct evaluation path for
     symbols of the form sum_t f1_t (x) ... (x) fn_t; it must agree with
-    :func:`moi_apply` on the summed elementary-tensor grid, overflow included;
-    a product that overflows on the way is evaluated again on arguments
-    scaled down by powers of two, as there.
+    :func:`moi_apply` on the summed elementary-tensor grid, overflow included.
+    As there, the one pass runs on arguments scaled by powers of two, from
+    the terms' and the arguments' largest moduli, and the result is scaled back.
     """
     ops = list(ops)
     args = [as_matrix(a) for a in args]
@@ -201,26 +198,18 @@ def separable_apply(ops, terms, args) -> np.ndarray:
     terms = [list(term) for term in terms]
     if any(len(factors) != n for factors in terms):
         raise ShapeMismatch("each term needs one value vector per operator")
-
-    def contract(factors):
-        out = np.zeros((ops[0].dim, ops[-1].dim), dtype=np.complex128)
+    tops = [max((_exponent(term[m]) for term in terms), default=0) for m in range(n)]
+    shifts = _shifts(tops[0], [_exponent(arg) + top for arg, top in zip(args, tops[1:])])
+    scaled = [_ldexp(arg, -shift) for arg, shift in zip(args, shifts)]
+    out = np.zeros((ops[0].dim, ops[-1].dim), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for term in terms:
             acc = apply_function(ops[0], term[0])
             for m in range(n - 1):
-                acc = acc @ factors[m] @ apply_function(ops[m + 1], term[m + 1])
+                acc = acc @ scaled[m] @ apply_function(ops[m + 1], term[m + 1])
             out += acc
-        return out
-
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = contract(args)
-        if not np.all(np.isfinite(out)):
-            tops = [max(_exponent(term[m]) for term in terms) for m in range(n)]
-            steps = [_exponent(arg) + top for arg, top in zip(args, tops[1:])]
-            shifts = _down_shifts(tops[0], steps)
-            scaled = [_ldexp(arg, -shift) for arg, shift in zip(args, shifts)]
-            values = [f for term in terms for f in term]
-            out = _finite_result(_ldexp(contract(scaled), sum(shifts)), "term value", values, args)
-    return out
+        out = _ldexp(out, sum(shifts))
+    return _finite_result(out, "term value", [f for term in terms for f in term], args)
 
 
 def doi_via_toi(

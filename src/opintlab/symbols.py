@@ -9,7 +9,7 @@ at (axes[0][i1], ..., axes[n-1][in]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,25 +29,35 @@ def _as_axis(axis) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SymbolGrid:
-    """Value table of a symbol on a product of eigenvalue lists."""
+    """Value table of a symbol on a product of eigenvalue lists.
+
+    ``values`` is a read-only, C-contiguous complex view, of the given array
+    when it can be (which must then not change), and |values| < 2**exponent."""
 
     axes: tuple
     values: np.ndarray
+    exponent: int = field(init=False, repr=False)
 
     def __post_init__(self):
         axes = tuple(_as_axis(a) for a in self.axes)
         if not axes:
             raise ShapeMismatch("a grid needs at least one axis")
-        vals = np.asarray(self.values, dtype=np.complex128)
+        vals = np.ascontiguousarray(self.values, dtype=np.complex128).view()
         expected = tuple(a.size for a in axes)
         if vals.shape != expected:
             raise ShapeMismatch(
                 f"value array of shape {vals.shape} does not match axes {expected}"
             )
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        # NaN and +-inf show in the extremes of the parts, and twice the
+        # larger extreme (one more bit) bounds every modulus.
+        parts = vals.reshape(-1).view(np.float64)
+        lo, hi = float(np.min(parts)), float(np.max(parts))
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("grid values must be finite")
+        vals.flags.writeable = False
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "exponent", int(np.frexp(max(-lo, hi))[1]) + 1)
 
     @property
     def order(self) -> int:
@@ -187,7 +197,7 @@ def grid_from_json(obj) -> SymbolGrid:
     total = int(np.prod(shape))
     if vals_re.ndim != 1 or vals_re.size != total or vals_im.shape != vals_re.shape:
         raise ParseError("grid JSON value lists must be flat and match 'shape'")
-    values = (vals_re + 1j * vals_im).reshape(shape, order="C")
+    values = np.stack((vals_re, vals_im), axis=-1).view(np.complex128).reshape(shape)
     try:
         return SymbolGrid(axes=tuple(axes), values=values)
     except (ShapeMismatch, ValueError) as exc:

@@ -38,6 +38,7 @@ from opintlab import (
     separable_apply,
     toi_apply,
 )
+from opintlab import opint
 
 from conftest import (
     random_complex,
@@ -327,14 +328,16 @@ def test_overflowing_result_is_a_breakdown():
 
 
 def test_huge_symbol_against_huge_and_tiny_arguments():
-    # 1e300 * 1e100 overflows on the way, but the result 1e300 * I does not.
+    # 1e300 * 1e100 overflows on the way, but the result 1e300 * I does not;
+    # 1e-300 * 1e-100 underflows on the way, but the result 1e-300 * I does not.
     op = NormalOperator.from_eigensystem(np.arange(3.0))
-    phi = SymbolGrid(axes=(op.eigenvalues,) * 3, values=np.full((3, 3, 3), 1e300))
-    out = toi_apply(op, op, op, phi, 1e100 * np.eye(3), 1e-100 * np.eye(3))
-    np.testing.assert_allclose(out, 1e300 * np.eye(3), rtol=1e-15, atol=0.0)
-    terms = [[np.full(3, 1e300), np.ones(3), np.ones(3)]]
-    out = separable_apply([op] * 3, terms, [1e100 * np.eye(3), 1e-100 * np.eye(3)])
-    np.testing.assert_allclose(out, 1e300 * np.eye(3), rtol=1e-15, atol=0.0)
+    for scale, first, second in ((1e300, 1e100, 1e-100), (1e-300, 1e-100, 1e100)):
+        phi = SymbolGrid(axes=(op.eigenvalues,) * 3, values=np.full((3, 3, 3), scale))
+        args = [first * np.eye(3), second * np.eye(3)]
+        terms = [[np.full(3, scale), np.ones(3), np.ones(3)]]
+        for out in (toi_apply(op, op, op, phi, *args), moi_apply([op] * 3, phi, args),
+                    separable_apply([op] * 3, terms, args)):
+            np.testing.assert_allclose(out, scale * np.eye(3), rtol=1e-15, atol=0.0)
     # A chain that stays in range is not rescaled: a symbol at the float
     # limit against small arguments, and a tiny symbol against a large and
     # then a small argument, whose products would turn subnormal if the large
@@ -378,6 +381,87 @@ def test_chains_in_range_match_the_plain_contraction():
                 acc = acc @ args[m] @ apply_function(ops[m + 1], term[m + 1])
             plain += acc
         np.testing.assert_array_equal(separable_apply(ops, terms, args), plain)
+
+
+def _times_power_of_two(x, exponent):
+    """x * 2**exponent, each part scaled exactly."""
+    x = np.asarray(x, dtype=complex)
+    return np.ldexp(x.real, exponent) + 1j * np.ldexp(x.imag, exponent)
+
+
+def test_extreme_scale_chains_match_the_unit_scale_contraction():
+    # Grids near 1e+-300 against arguments near 1e+-150, by exact powers of
+    # two: a result whose true largest modulus is at least 2**-1000 equals
+    # the contraction of the unit-scale inputs scaled back, and a breakdown
+    # means that the true result overflows.
+    rng = np.random.default_rng(41)
+    checked = raised = 0
+    for trial in range(300):
+        order = 2 + trial % 5
+        dims = [int(d) for d in rng.integers(1, 4, size=order)]
+        ops = [random_normal_operator(rng, d) for d in dims]
+        unit_grid = _random_grid(rng, ops)
+        unit_args = [random_complex(rng, (dims[m], dims[m + 1])) for m in range(order - 1)]
+        unit_terms = [[random_complex(rng, d) for d in dims] for _ in range(2)]
+        k_grid = int(rng.integers(-996, 997))
+        k_args = [int(k) for k in rng.integers(-498, 499, size=order - 1)]
+        grid = SymbolGrid(axes=unit_grid.axes,
+                          values=_times_power_of_two(unit_grid.values, k_grid))
+        args = [_times_power_of_two(a, k) for a, k in zip(unit_args, k_args)]
+        terms = [[_times_power_of_two(t[0], k_grid)] + t[1:] for t in unit_terms]
+        total = k_grid + sum(k_args)
+        pairs = [
+            (lambda: moi_apply(ops, grid, args), moi_apply(ops, unit_grid, unit_args)),
+            (lambda: separable_apply(ops, terms, args),
+             separable_apply(ops, unit_terms, unit_args)),
+        ]
+        for call, unit in pairs:
+            try:
+                out = call()
+            except NumericalBreakdown:
+                top_part = np.max(np.maximum(np.abs(unit.real), np.abs(unit.imag)))
+                assert np.log2(top_part) + total > 1024 - 1e-9
+                raised += 1
+                continue
+            if np.log2(np.max(np.abs(unit))) + total >= -1000:
+                back = _times_power_of_two(out, -total)
+                assert np.linalg.norm(back - unit) <= 1e-14 * np.linalg.norm(unit)
+                checked += 1
+    assert checked > 200 and raised > 20
+
+
+def test_contraction_is_one_pass(monkeypatch):
+    # The product 1e300 * 1e100 overflows on the way unless the arguments are
+    # scaled first; the scaling is worked out up front, so one pass suffices.
+    op = NormalOperator.from_eigensystem(np.arange(3.0))
+    phi = SymbolGrid(axes=(op.eigenvalues,) * 3, values=np.full((3, 3, 3), 1e300))
+    args = [1e100 * np.eye(3), 1e-100 * np.eye(3)]
+    terms = [[np.full(3, 1e300), np.ones(3), np.ones(3)]] * 2
+    calls = []
+    einsum, apply = np.einsum, opint.apply_function
+    monkeypatch.setattr(np, "einsum", lambda *a: calls.append("einsum") or einsum(*a))
+    monkeypatch.setattr(opint, "apply_function", lambda *a: calls.append("f") or apply(*a))
+    for call in (lambda: toi_apply(op, op, op, phi, *args),
+                 lambda: moi_apply([op] * 3, phi, args)):
+        np.testing.assert_allclose(call(), 1e300 * np.eye(3), rtol=1e-15, atol=0.0)
+        assert calls == ["einsum"]
+        calls.clear()
+    out = separable_apply([op] * 3, terms, args)
+    np.testing.assert_allclose(out, 2e300 * np.eye(3), rtol=1e-15, atol=0.0)
+    assert calls == ["f"] * 6
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-13, 1.0, 1e200])
+def test_grid_axes_match_the_spectrum_relative_to_its_scale(scale):
+    op = NormalOperator.from_eigensystem(scale * np.array([1.0, 2.0]))
+    x = np.eye(2, dtype=complex)
+    for axis in ([3.0, -5.0], [-1.0, 7.0]):
+        bad = SymbolGrid(axes=(scale * np.array(axis), op.eigenvalues), values=np.ones((2, 2)))
+        with pytest.raises(ShapeMismatch):
+            doi_apply(op, op, bad, x)
+    near = op.eigenvalues * (1.0 + 1e-14 * np.array([1.0, -1.0]))
+    grid = SymbolGrid(axes=(near, near), values=np.ones((2, 2)))
+    np.testing.assert_array_equal(doi_apply(op, op, grid, x), x)
 
 
 # ---------------------------------------------------------------------------

@@ -233,3 +233,46 @@ def test_sup_norm_is_max_abs(entries):
         axes=(axis.astype(complex),), values=np.asarray(entries, dtype=complex)
     )
     assert sup_norm(grid) == pytest.approx(max(abs(e) for e in entries), abs=1e-12)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_grid_rejects_non_finite_values(part, bad):
+    values = np.ones((2, 3), dtype=complex)
+    if part == "re":
+        values[1, 2] = complex(bad, 1.0)
+    else:
+        values[1, 2] = complex(1.0, bad)
+    axes = (np.arange(2.0), np.arange(3.0))
+    with pytest.raises(ValueError, match="finite"):
+        SymbolGrid(axes=axes, values=values)
+    doc = grid_to_json(_grid_from_axes(axes, 1.0))
+    doc[f"values_{part}"][5] = bad
+    with pytest.raises(ParseError):
+        grid_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "fill", [0.0, 5e-324, -3e-310 + 4e-310j, 1e300 * (1 + 1j), -1e300, 1e-300j, 7e-301 - 1e-300j]
+)
+def test_grid_exponent_bounds_every_modulus(fill):
+    values = np.full((2, 3), fill, dtype=complex)
+    values[0, 0] = fill / 2
+    grid = SymbolGrid(axes=(np.arange(2.0), np.arange(3.0)), values=values)
+    moduli = np.abs(grid.values)
+    assert np.all(moduli < np.ldexp(1.0, grid.exponent))
+    if fill:
+        assert grid.exponent <= np.frexp(moduli.max())[1] + 1
+
+
+def test_grid_values_are_read_only():
+    values = np.ones((2, 2), dtype=complex)
+    grid = SymbolGrid(axes=(np.arange(2.0), np.arange(2.0)), values=values)
+    with pytest.raises(ValueError):
+        grid.values[0, 0] = 2.0
+    assert grid.values.flags.c_contiguous
+    # The caller's array is shared, not copied, and stays writable.
+    assert np.shares_memory(grid.values, values) and values.flags.writeable
+    transposed = SymbolGrid(axes=grid.axes, values=np.arange(4.0).reshape(2, 2).T)
+    assert transposed.values.flags.c_contiguous
+    np.testing.assert_array_equal(transposed.values, [[0.0, 2.0], [1.0, 3.0]])
