@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -494,7 +495,10 @@ def _read_inputs(args) -> dict:
     return {label: hashlib.sha256(data).hexdigest() for _, label, _, data in blobs}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: the subcommands look
+    up the library functions they call when they run."""
     parser = _Parser(prog="opintlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"opintlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -118,15 +118,24 @@ def _shifts(level: int, steps) -> list[int]:
     ``level`` bounds the binary exponent of the factor before the first
     argument, and ``steps[m]`` what argument m adds to it together with any
     factor that follows it.  An argument is scaled down above the range and
-    up below it, each only as far as the bound needs, so a chain that stays
-    in range gets all-zero shifts and keeps every bit.
+    up below it, each only as far as the bound needs, and never left above
+    the range on its own, so a chain that stays in range gets all-zero
+    shifts and keeps every bit.
     """
     shifts = []
     for step in steps:
         level += step
-        shifts.append(level - min(max(level, -_RESCALED_LEVEL), _RESCALED_LEVEL))
+        shifts.append(max(level - min(max(level, -_RESCALED_LEVEL), _RESCALED_LEVEL),
+                          step - _RESCALED_LEVEL))
         level -= shifts[-1]
     return shifts
+
+
+def _rotation_growth(arg: np.ndarray) -> int:
+    """A bound, as a power of two, on how much a unitary rotation U* X V can
+    raise the largest modulus of X: no entry exceeds ||X||_2, which is at
+    most sqrt(rows * cols) times it."""
+    return ((arg.size - 1).bit_length() + 1) // 2
 
 
 def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
@@ -137,19 +146,22 @@ def _chain_apply(ops, grid: SymbolGrid, args) -> np.ndarray:
     intermediate of grid size.  It multiplies grid * X1~ * X2~ ... left to
     right, on arguments scaled by the powers of two of :func:`_shifts`, so
     that no partial product leaves the range; the result is scaled back, and
-    raises :class:`NumericalBreakdown` if that overflows.
+    raises :class:`NumericalBreakdown` if that overflows.  Each argument is
+    scaled before it is rotated, with its shift taken from its own largest
+    modulus and the rotation's growth bound, so the rotation cannot
+    overflow either.
     """
     _check_chain(ops, args, grid)
-    rotated = [
-        ops[m].eigenbasis.conj().T @ arg @ ops[m + 1].eigenbasis
-        for m, arg in enumerate(args)
-    ]
-    shifts = _shifts(grid.exponent, map(_exponent, rotated))
+    shifts = _shifts(grid.exponent, [_exponent(arg) + _rotation_growth(arg) for arg in args])
     letters = _AXIS_LETTERS[: len(ops)]
     spec = ",".join([letters] + [letters[m : m + 2] for m in range(len(args))])
     spec = f"{spec}->{letters[0]}{letters[-1]}"
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        core = np.einsum(spec, grid.values, *[_ldexp(a, -s) for a, s in zip(rotated, shifts)])
+        rotated = [
+            ops[m].eigenbasis.conj().T @ _ldexp(arg, -shift) @ ops[m + 1].eigenbasis
+            for m, (arg, shift) in enumerate(zip(args, shifts))
+        ]
+        core = np.einsum(spec, grid.values, *rotated)
         out = _ldexp(ops[0].eigenbasis @ core @ ops[-1].eigenbasis.conj().T, sum(shifts))
     return _finite_result(out, "grid", [grid.values], args)
 
@@ -198,7 +210,10 @@ def separable_apply(ops, terms, args) -> np.ndarray:
     terms = [list(term) for term in terms]
     if any(len(factors) != n for factors in terms):
         raise ShapeMismatch("each term needs one value vector per operator")
-    tops = [max((_exponent(term[m]) for term in terms), default=0) for m in range(n)]
+    # The frexp exponent grows with the modulus, so one reduction per slot
+    # over every term gives the largest of the terms' exponents.
+    tops = [_exponent(np.concatenate([np.ravel(term[m]) for term in terms])) if terms else 0
+            for m in range(n)]
     shifts = _shifts(tops[0], [_exponent(arg) + top for arg, top in zip(args, tops[1:])])
     scaled = [_ldexp(arg, -shift) for arg, shift in zip(args, shifts)]
     out = np.zeros((ops[0].dim, ops[-1].dim), dtype=np.complex128)

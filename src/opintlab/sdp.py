@@ -10,52 +10,49 @@ over Hermitian P, Q.  Its optimal value is the factorization norm of S: the
 smallest max_i ||a_i|| * max_j ||b_j|| over vector families with
 <a_i, b_j> = S_ij.
 
-The solver is a log-barrier path-following method with exact Newton steps on
-(P, Q, t), iterating on the Gram matrix G itself in the field of the data
-(real arithmetic for real data).  No dense Hessian is formed: the Newton
-system is solved by block elimination, inverting the log-determinant
-Hessian on the two diagonal blocks in closed form and the slack barrier
-through a bordered (p+q+1)-square system, in O((p+q)^2 q^2) work per step.
-The barrier weight enters that system only through one right-hand-side
-entry, so it is factored once per iterate: the same factorization ends one
-barrier level and starts the next, whose first step is the tangent
-predictor along the central path (the Newton step scaled by the weight
-ratio).  Predictor steps count as Newton steps.  Each step is sized by
-backtracking from its start (1, or the weight ratio for the predictor): a
-trial point is accepted once its barrier value exists (G has a Cholesky
-factor and every slack is positive) and decreases enough, so that Cholesky
-is the method's only cone test.
+The solver is a primal-dual path-following method on the Gram matrix G
+itself, in the field of the data (real arithmetic for real data).  Its dual
+iterate is a Hermitian Z >= 0 whose block-diagonal part is Diag(w), with
+weights w >= 0 on the slacks s = t - diag G that sum to 1.  Each iteration
+scales by the Nesterov-Todd point W (W Z W = G, from one SVD of L_Z* L_G)
+and takes Mehrotra's predictor and corrector: the affine direction sets the
+centering weight sigma = (mu_aff / mu)^3, and the corrector aims at
+sigma mu on the central path with the second-order terms of both cones.  No
+dense Hessian is formed: the Newton system is solved by block elimination,
+inverting Pi_bd(N dG N), N = W^-1, in closed form on the two diagonal blocks
+and the slacks through a bordered (p+q+1)-square system, in O((p+q)^2 q^2)
+work; it is factored once per iteration and solved twice.  Each step is
+0.95 of the largest step on a backtracking ladder whose trial points pass
+the ratio test on s and w and have a Cholesky factor (of G + a dG and of
+Z + a dZ), so that Cholesky is the method's only cone test.
 The data is first divided by its largest entry, which the norm scales with,
 so the duality-gap tolerance is relative to max_ij |S_ij|.
 
 The solver iterates on a stack of B programs of one shape and field at
-once, so that each numpy call of a Newton step serves every member: at
-these sizes a step costs call overhead more than flops.  A single matrix is
-the stack with B = 1.  Each member keeps its own barrier weight, threshold,
-line-search start, centers, step count, step budget and certificates, and
-leaves the stack once it is settled.  Every stacked linear-algebra call
-works on each member alone, so a member takes the same steps alone as in
-any stack.  The line search backtracks each member on its own: a stacked
-Cholesky fails as a whole when any trial point is outside the cone, and the
-members are then factored one by one, so each accepts exactly the point it
-would accept alone.
+once, so that each numpy call of an iteration serves every member: at these
+sizes an iteration costs call overhead more than flops.  A single matrix is
+the stack with B = 1.  Each member keeps its own iterates, step lengths,
+iteration count, budget and certificates, and leaves the stack once it is
+settled.  Every stacked linear-algebra call works on each member alone, so
+a member takes the same steps alone as in any stack.  A stacked Cholesky
+fails as a whole when any trial point is outside the cone, and its halves
+are then factored apart, so each member accepts exactly the step it would
+accept alone.
 
-Certification does not rely on the barrier weight reaching zero: every
-centered iterate yields a feasible primal point (ridge-corrected, then
-verified positive semidefinite by explicit eigenvalue bounds) and a lower
-bound.  The optimum is also the largest ||D_sqrt(a) S D_sqrt(b)||_1 over
-probability vectors a and b (the dual of the program), so the dual weights
-mu * diag(G^-1) at a center, clipped at zero and normalized block by block,
-give a lower bound that one SVD evaluates.  Consecutive centers are
-Richardson-extrapolated toward the weight-zero limit to produce sharper
-candidates that pass through the same checks.  The reported duality gap is
-then a true bound on the distance to the optimum, no matter how the iterates
-were found.
+Certification does not rely on the iterates converging: at every iterate,
+G gives a feasible primal point (ridge-corrected, then verified positive
+semidefinite by explicit eigenvalue bounds) and w a lower bound.  The
+optimum is also the largest ||D_sqrt(a) S D_sqrt(b)||_1 over probability
+vectors a and b (the dual of the program), so w, clipped at zero and
+normalized block by block, gives a lower bound that one SVD evaluates.  Each
+iterate is also extrapolated linearly with the previous one toward mu = 0,
+and that candidate passes through the same checks.  The reported duality
+gap is then a true bound on the distance to the optimum, no matter how the
+iterates were found.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +64,14 @@ GAP_TOL = 1e-7
 MAX_ITER = 300
 MAX_SIDE = 256
 
-_MU_SHRINK = 0.2
-_MU_FLOOR = 1e-12
-_ARMIJO = 1e-4
-_INNER_CAP = 60
+# Each step is _STEP of the largest one on a backtracking ladder whose trial
+# points pass the cone test; the ladder shrinks by a factor 0.5 for the
+# predictor, which only sets the centering weight, and 0.9 for the
+# corrector, and a member that finds no step in _TRIES trials takes none.
+_STEP = 0.95
+_PREDICTOR_BACKTRACK = 0.5
+_CORRECTOR_BACKTRACK = 0.9
+_TRIES = 60
 _EIG_GUARD = 1e-12
 _PAIR_BYTES = 1 << 22
 
@@ -85,15 +86,17 @@ class SdpSolution:
         ``value``; positive semidefinite with row norms bounded by ``value``.
     duality_gap: ``value`` minus the best lower bound, the weighted trace
         norm ||D_sqrt(a) S D_sqrt(b)||_1 at ``dual_weights`` less a roundoff
-        allowance of 1e-12 times its largest singular value.
-    iterations: total Newton steps taken, the tangent predictor step that
-        opens each barrier level after the first included.
+        allowance of 1e-12 times its largest singular value; both bounds
+        are checked at every iterate.
+    iterations: primal-dual iterations taken, each one predictor and one
+        corrector step from one factored Newton system.
     status: "Optimal" (gap within tolerance), "MaxIter", or, among the
         middle slices of one grid only, "Dominated": ``value`` is at or below
         another slice's lower bound, so this slice cannot have the largest
         norm and was left before its gap closed.
     dual_weights: (a, b), nonnegative weights on the p rows and the q
-        columns, each summing to 1, behind the best lower bound:
+        columns, each summing to 1, behind the best lower bound: the dual
+        iterate's slack weights w, clipped at zero and normalized per block;
         ||D_sqrt(a) S D_sqrt(b)||_1 is at least ``value - duality_gap``.
         Computed on the data divided by its largest entry, so scale free;
         uniform per block (1/p and 1/q) for the zero matrix.
@@ -108,7 +111,10 @@ class SdpSolution:
 
 
 def _gram(s: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.block([[p, s], [s.conj().T, q]])
+    ph = s.shape[0]
+    g = np.empty((ph + s.shape[1],) * 2, dtype=np.result_type(s, p, q))
+    g[:ph, :ph], g[:ph, ph:], g[ph:, :ph], g[ph:, ph:] = p, s, s.conj().T, q
+    return g
 
 
 def _h(x: np.ndarray) -> np.ndarray:
@@ -126,31 +132,6 @@ def _diagonal_view(x: np.ndarray) -> np.ndarray:
     matrix of a C-contiguous stack."""
     n = x.shape[-1]
     return x.reshape(x.shape[:-2] + (-1,), copy=False)[..., :: n + 1]
-
-
-def _barrier(g: np.ndarray, t: np.ndarray):
-    """Cholesky factors of a stack of G and -logdet G - sum log(t - G_ii) for
-    each member; a member outside the domain gets inf (and an unset factor).
-
-    A stacked Cholesky fails as a whole if any member has none, so the
-    members are then factored one by one.
-    """
-    slacks = t[:, None] - _diagonal(g).real
-    positive = slacks > 0.0
-    if not positive.all():
-        inside = positive.all(axis=1)
-        chol, phi = np.empty_like(g), np.full(t.shape, np.inf)
-        if inside.any():
-            chol[inside], phi[inside] = _barrier(g[inside], t[inside])
-        return chol, phi
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        if len(g) == 1:
-            return np.empty_like(g), np.full(1, np.inf)
-        parts = [_barrier(g[k : k + 1], t[k : k + 1]) for k in range(len(g))]
-        return np.concatenate([c for c, _ in parts]), np.concatenate([f for _, f in parts])
-    return chol, -2.0 * np.log(_diagonal(chol).real).sum(axis=-1) - np.log(slacks).sum(axis=-1)
 
 
 def _pair_gram(h: np.ndarray, damp: np.ndarray) -> np.ndarray:
@@ -173,111 +154,98 @@ def _pair_gram(h: np.ndarray, damp: np.ndarray) -> np.ndarray:
 
 
 class _NewtonSystem:
-    """The Newton system of the barrier problem at one point, factored once.
+    """The Nesterov-Todd Newton system at one primal-dual point, factored once.
 
-    ``chol`` is the Cholesky factor of G and ``t`` the epigraph variable;
-    ``m`` = G^-1 = L^-* L^-1 is kept for the dual iterate.  The Hessian of
-    -logdet on the block-diagonal directions is L0(dG) = Pi_bd(M dG M); solve
-    L0(dG) = blkdiag(E1, E2).  With A = M11^-1 = P - S Q^-1 S* and
-    F = M21 M11^-1 = -Q^-1 S*, the P block gives dP = A E1 A - F* dQ F and
-    the Q block then reads M22 dQ M22 - N dQ N = E2 - F E1 F*,
-    N = M22 - Q^-1.  From the SVD Lq^-1 L22 = U diag(sqrt(nu)) Z* (Q = Lq Lq*,
-    L22 the trailing block of chol), W = L22 Z has W* M22 W = I and
-    W* N W = I - diag(nu), which inverts L0 in closed form; 1 - lam_i lam_j
-    is formed from nu, so no cancellation occurs as G nears singularity.
-    The slack barrier only touches the p+q diagonal entries and t, so the
-    full system reduces to a bordered (p+q+1)-square one in the diagonal
-    multipliers u and dt, whose matrix T = diag o L0^-1 o Diag is formed
-    from H = W* [F | I].  The barrier weight enters only the last entry of
-    its right-hand side and the decrement, so everything else is computed
-    here and :meth:`step` is cheap for any weight.
+    ``scaling`` is the NT scaling point W (W Z W = G) and ``n_mat`` its
+    inverse N.  The dual constraint Pi_bd(Z) = Diag(w) and the linearized
+    complementarity N dG N + dZ = C give L(dG) = Pi_bd(N dG N) = E - Diag(dw),
+    with E = Pi_bd(C + Z) - Diag(w).  With A = N11^-1 = W11 - W12 W22^-1 W21
+    and F = N21 N11^-1 = -W22^-1 W21, the P block gives dP = A E1 A - F* dQ F
+    and the Q block then reads N22 dQ N22 - K dQ K = E2 - F E1 F*,
+    K = N22 - W22^-1.  From the SVD Lq^-1 L22 = U diag(sqrt(nu)) Y*
+    (W22 = Lq Lq*, L22 the trailing block of the Cholesky factor of W),
+    V = L22 Y has V* N22 V = I and V* K V = I - diag(nu), which inverts L in
+    closed form; 1 - lam_i lam_j is formed from nu, so no cancellation
+    occurs as W grows ill-conditioned.  The slacks s = t - diag G and their
+    weights w only touch the p+q diagonal entries and t: with w o ds + s o dw
+    = r_lp and sum(dw) = 1 - sum(w), the full system reduces to a bordered
+    (p+q+1)-square one in dw and dt, whose matrix diag o L^-1 o Diag +
+    diag(s / w) is formed from H = V* [F | I].  Only the right-hand side
+    changes between the predictor and the corrector, so :meth:`solve` is
+    cheap.
 
-    Works on one point (G of shape (n, n), a number t) or on a stack
-    (G of shape (B, n, n), t of shape (B,)); the arrays below then carry
-    the stack axis in front.
+    Works on one point (matrices of shape (n, n), vectors of shape (n,)) or
+    on a stack (a leading axis of B members on every array).
     """
 
-    _STACKED = ("m", "a", "f", "fh", "w", "wh", "damp", "r", "bordered", "diag_l0_inv_r",
-                "inv_slack_sum")
-
-    def __init__(self, g: np.ndarray, chol: np.ndarray, t, ph: int):
-        n = g.shape[-1]
-        lead = g.shape[:-2]
-        slack = np.asarray(t)[..., None] - _diagonal(g).real  # t - P_ii, then t - Q_jj
-        linv = np.linalg.inv(chol)
-        m = _h(linv) @ linv
-        lq_inv = np.linalg.inv(np.linalg.cholesky(g[..., ph:, ph:]))
-        y = lq_inv @ g[..., ph:, :ph]
-        a = g[..., :ph, :ph] - _h(y) @ y
+    def __init__(self, scaling: np.ndarray, n_mat: np.ndarray, z: np.ndarray,
+                 slack: np.ndarray, weights: np.ndarray, ph: int):
+        n = scaling.shape[-1]
+        lead = scaling.shape[:-2]
+        chol = np.linalg.cholesky(scaling)
+        lq_inv = np.linalg.inv(np.linalg.cholesky(scaling[..., ph:, ph:]))
+        y = lq_inv @ scaling[..., ph:, :ph]
+        a = scaling[..., :ph, :ph] - _h(y) @ y
         f = -_h(lq_inv) @ y
         l22 = chol[..., ph:, ph:]
-        _, sv, zh = np.linalg.svd(lq_inv @ l22)
-        w = l22 @ _h(zh)
-        wh = _h(w)
+        _, sv, yh = np.linalg.svd(lq_inv @ l22)
+        v = l22 @ _h(yh)
+        vh = _h(v)
         nu = sv**2
         damp = 1.0 / (nu[..., :, None] + nu[..., None, :] * (1.0 - nu[..., :, None]))
 
-        r = m.copy()
-        r[..., :ph, ph:] = 0.0
-        r[..., ph:, :ph] = 0.0
-        inv_slack = 1.0 / slack
-        diag_r = _diagonal_view(r)
-        diag_r -= inv_slack
-
         bordered = np.ones(lead + (n + 1, n + 1))
-        bordered[..., :n, :n] = _pair_gram(np.concatenate([wh @ f, wh], axis=-1), damp)
+        bordered[..., :n, :n] = _pair_gram(np.concatenate([vh @ f, vh], axis=-1), damp)
         # The multipliers of the P diagonal enter with the opposite sign.
         bordered[..., :ph, ph:n] *= -1.0
         bordered[..., ph:n, :ph] *= -1.0
         bordered[..., :ph, :ph] += np.abs(a) ** 2
+        # diag o L^-1 o Diag applied to w, before the slack term joins it.
+        self.l_inv_w = (bordered[..., :n, :n] @ weights[..., None])[..., 0]
         diag_b = _diagonal_view(bordered)[..., :n]
-        diag_b += slack**2
+        diag_b += slack / weights
         bordered[..., n, n] = 0.0
 
-        self.ph, self.m = ph, m
-        self.a, self.f, self.fh, self.w, self.wh, self.damp = a, f, _h(f), w, wh, damp
-        self.r, self.bordered = r, bordered
-        self.diag_l0_inv_r = _diagonal(self._l0_inv(r)).real.copy()
-        self.inv_slack_sum = inv_slack.sum(axis=-1)
+        self.ph, self.n_mat, self.z, self.weights = ph, n_mat, z, weights
+        self.a, self.f, self.fh, self.v, self.vh, self.damp = a, f, _h(f), v, vh, damp
+        self.bordered = bordered
 
-    def put(self, rows: np.ndarray, other: "_NewtonSystem") -> None:
-        """Replace the stack members ``rows`` by the members of ``other``."""
-        for name in self._STACKED:
-            getattr(self, name)[rows] = getattr(other, name)
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the stack members ``rows`` (an index or a mask)."""
-        for name in self._STACKED:
-            setattr(self, name, getattr(self, name)[rows])
-
-    def _l0_inv(self, e: np.ndarray) -> np.ndarray:
-        ph, a, f, fh, w, wh = self.ph, self.a, self.f, self.fh, self.w, self.wh
+    def _l_inv(self, e: np.ndarray) -> np.ndarray:
+        ph, a, f, fh, v, vh = self.ph, self.a, self.f, self.fh, self.v, self.vh
         e1 = e[..., :ph, :ph]
-        dq = w @ ((wh @ (e[..., ph:, ph:] - f @ e1 @ fh) @ w) * self.damp) @ wh
+        dq = v @ ((vh @ (e[..., ph:, ph:] - f @ e1 @ fh) @ v) * self.damp) @ vh
         out = np.zeros_like(e)
         out[..., :ph, :ph] = a @ e1 @ a - fh @ dq @ f
         out[..., ph:, ph:] = dq
         return out
 
-    def step(self, mu):
-        """Newton direction (dG, dt) of the barrier problem at weight ``mu``
-        (one weight per stack member) and its decrement."""
-        n = self.r.shape[-1]
-        inv_slack_sum = self.inv_slack_sum
-        last = (1.0 / mu - inv_slack_sum)[..., None]
-        rhs = np.concatenate([self.diag_l0_inv_r, last], axis=-1)
-        sol = np.linalg.solve(self.bordered, rhs[..., None])[..., 0]
-        e = self.r.copy()
-        diag_e = _diagonal_view(e)
-        diag_e -= sol[..., :n]
-        dg = self._l0_inv(e)
+    def solve(self, c, r_lp: np.ndarray):
+        """Direction (dG, dt, dZ, dw) for the complementarity right-hand sides
+        ``c`` (N dG N + dZ = C; None for the predictor's C = -Z) and ``r_lp``
+        (w o ds + s o dw = r_lp)."""
+        weights, z = self.weights, self.z
+        n = weights.shape[-1]
+        rhs = r_lp / weights - self.l_inv_w
+        if c is not None:
+            # L^-1 (Pi_bd(C + Z)): the predictor's E is -Diag(w) alone.
+            base = c + z
+            base[..., :self.ph, self.ph:] = 0.0
+            base[..., self.ph:, :self.ph] = 0.0
+            base = self._l_inv(base)
+            rhs = rhs + _diagonal(base).real
+        last = 1.0 - weights.sum(axis=-1)
+        rhs = np.concatenate([rhs, last[..., None]], axis=-1)
+        sol = np.linalg.solve(self.bordered, rhs[..., None])
+        dw = sol[..., :n, 0]
+        e = np.zeros_like(z)
+        _diagonal_view(e)[...] = weights + dw
+        dg = -self._l_inv(e)
+        if c is not None:
+            dg += base
         dg = (dg + _h(dg)) / 2.0
-        dt = sol[..., n]
-        # Re <r, dG>, one dot product per member.
-        lead = dg.shape[:-2]
-        inner = self.r.conj().reshape(lead + (1, -1)) @ dg.reshape(lead + (-1, 1))
-        decrement = mu * inner[..., 0, 0].real - (1.0 - mu * inv_slack_sum) * dt
-        return dg, dt, decrement
+        dz = (-z if c is None else c) - self.n_mat @ dg @ self.n_mat
+        dz = (dz + _h(dz)) / 2.0
+        return dg, sol[..., n, 0], dz, dw
 
 
 def _verified_dual_bound(s: np.ndarray, w: np.ndarray):
@@ -323,14 +291,8 @@ def _verified_primal(s: np.ndarray, p: np.ndarray, q: np.ndarray):
     return pp, qq, t
 
 
-def _extrapolate(cur, prev, ratio: float) -> list:
-    """Cancel the leading term, linear in ``ratio``, of each candidate part."""
-    return [(c - ratio * p) / (1.0 - ratio) for c, p in zip(cur, prev)]
-
-
 class _Certificates:
-    """One problem's best verified bounds, and the last three centers they
-    are harvested from."""
+    """One problem's best verified bounds, and the previous iterate."""
 
     def __init__(self, s: np.ndarray):
         ph, qh = s.shape
@@ -339,38 +301,29 @@ class _Certificates:
         self.blocks = None
         self.lower = -np.inf
         self.weights = (np.full(ph, 1.0 / ph), np.full(qh, 1.0 / qh))
-        self.centers = deque(maxlen=3)  # (mu, G, dual weights)
+        self.previous = None  # (mu, G, w)
 
-    def harvest(self, mu: float, g: np.ndarray, w: np.ndarray) -> float:
-        """Take certificates from the center (mu, G, dual weights ``w``) and
-        from extrapolations of the recent centers toward weight zero, and
-        return the certified gap.
+    def check(self, mu: float, g: np.ndarray, w: np.ndarray) -> float:
+        """Take certificates from the iterate (G, w) at the complementarity
+        ``mu`` and from its extrapolation with the previous iterate toward
+        mu = 0, and return the certified gap.
 
-        Centers are first-order in the weight, so linear extrapolation is
-        second-order and the three-point variant third-order; every
-        candidate is re-verified, so a poor extrapolation only wastes the
-        attempt.
+        Iterates near the central path are first-order in mu, so the linear
+        extrapolation cancels the leading term; it passes through the same
+        checks, so a poor one only wastes the attempt.
         """
-        s, ph, centers = self.s, self.s.shape[0], self.centers
-        centers.append((mu, g, w))
-        candidates = [centers[-1][1:]]
-        if len(centers) >= 2:
-            mu_prev, *prev = centers[-2]
-            for ratio in (mu / mu_prev, np.sqrt(mu / mu_prev)):
-                candidates.append(_extrapolate(candidates[0], prev, ratio))
-        if len(centers) == 3:
-            # Lagrange weights of the three centers at weight zero.
-            xs = [x for x, _, _ in centers]
-            lagrange = [
-                np.prod([xj / (xj - xi) for j, xj in enumerate(xs) if j != i])
-                for i, xi in enumerate(xs)
-            ]
-            candidates.append([sum(li * c[k] for li, c in zip(lagrange, centers)) for k in (1, 2)])
+        s, ph = self.s, self.s.shape[0]
+        candidates = [(g, w)]
+        if self.previous is not None and mu < self.previous[0]:
+            ratio = mu / self.previous[0]
+            candidates.append(tuple((cur - ratio * prev) / (1.0 - ratio)
+                                    for cur, prev in zip((g, w), self.previous[1:])))
+        self.previous = (mu, g.copy(), w.copy())
         for cand_g, cand_w in candidates:
             # A verified value is the largest diagonal entry plus a ridge, so
             # a candidate whose diagonal already reaches the upper bound
             # cannot win.
-            if np.max(np.diag(cand_g).real) < self.upper:
+            if np.max(_diagonal(cand_g).real) < self.upper:
                 verified = _verified_primal(s, cand_g[:ph, :ph], cand_g[ph:, ph:])
                 if verified is not None and verified[2] < self.upper:
                     self.blocks = verified[:2]
@@ -381,44 +334,69 @@ class _Certificates:
         return max(0.0, self.upper - self.lower)
 
 
-def _line_search(g, t, phi, dg, dt, decrement, mu, start):
-    """Backtrack each member's step from its ``start`` on its own.
+def _cholesky(x: np.ndarray):
+    """Cholesky factors of a stack and which members have one.
 
-    A trial point is accepted once its barrier value exists and decreases
-    by the Armijo fraction; after 60 halvings the member has no step.
-    Returns the indices of the members with a step, in order, and their new
-    G, t, Cholesky factor and barrier value.
+    A stacked Cholesky fails as a whole if any member has none, so the two
+    halves of the stack are then factored apart, down to single members."""
+    try:
+        return np.linalg.cholesky(x), np.ones(len(x), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(x) == 1:
+            return np.empty_like(x), np.zeros(1, dtype=bool)
+        parts = [_cholesky(x[: len(x) // 2]), _cholesky(x[len(x) // 2 :])]
+        return np.concatenate([c for c, _ in parts]), np.concatenate([ok for _, ok in parts])
+
+
+def _steps(x, dx, v, dv, backtrack: float, factors=None):
+    """Step lengths for a stack of cone points: matrices ``x`` that must stay
+    positive definite and vectors ``v`` that must stay positive.
+
+    The ratio test bounds each step on ``v``; then the step backtracks by
+    the factor ``backtrack`` from there (or from 1 / ``_STEP``) until
+    ``x + size dx`` has a Cholesky factor, and ``_STEP`` of it is taken.
+    Given the Cholesky ``factors`` of ``x``, the points taken are factored
+    too, backtracking further if rounding leaves one without a factor, and
+    the steps come back with the new matrices, vectors and factors.
     """
-    fval = t + mu * phi  # the barrier value at weight mu
-    size = start
-    rows = None  # the members still searching, when not all are
-    won = []
-    for _ in range(60):
-        # dG vanishes off the diagonal blocks, so every trial point keeps S;
-        # _barrier rejects one outside the cone.
-        cand_g = g + size[:, None, None] * dg
-        cand_t = t + size * dt
-        cand_chol, cand_phi = _barrier(cand_g, cand_t)
-        ok = cand_t + mu * cand_phi <= fval - _ARMIJO * size * decrement
-        if ok.all():
-            won.append((np.arange(t.size) if rows is None else rows,
-                        cand_g, cand_t, cand_chol, cand_phi))
+    with np.errstate(divide="ignore"):
+        ratio = np.where(dv < 0.0, v / -dv, np.inf).min(axis=-1)
+    size = np.minimum(ratio, 1.0 / _STEP)
+    rows = np.arange(len(x))
+    for _ in range(_TRIES):
+        _, ok = _cholesky(x[rows] + size[rows, None, None] * dx[rows])
+        rows = rows[~ok]
+        if not rows.size:
             break
-        if ok.any():
-            if rows is None:
-                rows = np.arange(t.size)
-            won.append((rows[ok], cand_g[ok], cand_t[ok], cand_chol[ok], cand_phi[ok]))
-            rest = ~ok
-            rows, g, t, dg, dt = rows[rest], g[rest], t[rest], dg[rest], dt[rest]
-            decrement, mu, fval, size = decrement[rest], mu[rest], fval[rest], size[rest]
-        size = size * 0.5
-    if len(won) == 1:
-        return won[0]
-    if not won:
-        return np.arange(0), None, None, None, None
-    parts = [np.concatenate(part) for part in zip(*won)]
-    order = np.argsort(parts[0])
-    return tuple(part[order] for part in parts)
+        size[rows] *= backtrack
+    size[rows] = 0.0
+    step = _STEP * size
+    if factors is None:
+        return step
+    new_x = x + step[:, None, None] * dx
+    chol, ok = _cholesky(new_x)
+    rows = np.flatnonzero(~ok)
+    for _ in range(_TRIES):
+        if not rows.size:
+            break
+        step[rows] *= backtrack
+        new_x[rows] = x[rows] + step[rows, None, None] * dx[rows]
+        chol[rows], ok = _cholesky(new_x[rows])
+        rows = rows[~ok]
+    step[rows] = 0.0
+    new_x[rows], chol[rows] = x[rows], factors[rows]
+    return step, new_x, v + step[:, None] * dv, chol
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re tr(X Y) of Hermitian matrices, one per stack member."""
+    lead = x.shape[:-2]
+    return (x.conj().reshape(lead + (1, -1)) @ y.reshape(lead + (-1, 1)))[..., 0, 0].real
+
+
+def _check_finite(*arrays) -> None:
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise NumericalBreakdown("Newton step is not finite")
 
 
 def _dominated(upper: np.ndarray, lower: np.ndarray, scales: np.ndarray, floor: float) -> np.ndarray:
@@ -436,99 +414,53 @@ def _dominated(upper: np.ndarray, lower: np.ndarray, scales: np.ndarray, floor: 
 
 
 def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float) -> list:
-    """Path-following on a (B, p, q) stack of programs in the field of ``s``.
+    """Primal-dual path-following on a (B, p, q) stack of programs in the
+    field of ``s``.
 
     Each member of ``s`` is divided by its largest entry, its ``scales``
     entry.  A member leaves the stack once its gap is within ``gap_tol``
-    ("Optimal") or it is out of steps or weight ("MaxIter").  It also
-    leaves once its upper bound times its scale is at or below ``floor`` (a
-    lower bound from outside the stack) or another member's lower bound
-    times that one's scale ("Dominated"): it cannot have the largest norm.
-    A stack of one with ``floor`` = -inf is never pruned.
+    ("Optimal") or it is out of iterations or cannot move ("MaxIter").  It
+    also leaves once its upper bound times its scale is at or below
+    ``floor`` (a lower bound from outside the stack) or another member's
+    lower bound times that one's scale ("Dominated"): it cannot have the
+    largest norm.  A stack of one with ``floor`` = -inf is never pruned.
 
     Returns, per member, the best verified primal blocks, their value, the
-    best lower bound, the Newton step count (at most ``MAX_ITER``), the
+    best lower bound, the iteration count (at most ``MAX_ITER``), the
     status and the dual weights (a, b) of the lower bound.
     """
     nb, ph, qh = s.shape
     n = ph + qh
-    snorm = np.linalg.svd(s, compute_uv=False)[:, 0]
-    c0 = snorm + 1.0
+    c0 = np.linalg.svd(s, compute_uv=False)[:, 0] + 1.0
     g = np.zeros((nb, n, n), dtype=s.dtype)
     g[:, :ph, ph:] = s
     g[:, ph:, :ph] = _h(s)
-    g[:, np.arange(n), np.arange(n)] = c0[:, None]
+    _diagonal_view(g)[...] = c0[:, None]
     t = 2.0 * c0
-    chol, phi = _barrier(g, t)
-    system = _NewtonSystem(g, chol, t, ph)
+    z = np.zeros_like(g)
+    _diagonal_view(z)[...] = 1.0 / n
+    w = np.full((nb, n), 1.0 / n)
+    chol_g, chol_z = np.linalg.cholesky(g), np.linalg.cholesky(z)
 
     # The state of the stack members, the problems ``ids``; a member's
     # entries are removed once it leaves.
     ids = np.arange(nb)
-    mu = np.maximum(1.0, snorm)
-    # The decrement threshold of a barrier level tightens with the weight
-    # because the extrapolated certificates need centers resolved well below
-    # the path curvature; the line-search failure still guards the
-    # double-precision floor.
-    threshold = 1e-13 * np.maximum(1.0, np.abs(t)) * np.minimum(1.0, mu)
-    start = np.ones(nb)  # initial step size of the line search
-    inner = np.zeros(nb, dtype=int)  # Newton steps at the current weight
     used = np.zeros(nb, dtype=int)
+    moved = np.ones(nb, dtype=bool)
     certs = [_Certificates(member) for member in s]
-    outcome = [None] * nb  # (steps, status) of each problem
+    outcome = [None] * nb  # (iterations, status) of each problem
 
-    while ids.size:
-        dg, dt, decrement = system.step(mu)
-        live = used < MAX_ITER
-        if not (np.isfinite(decrement).all() and np.isfinite(dg).all()):
-            finite = np.isfinite(decrement) & np.isfinite(dg).all(axis=(1, 2))
-            if not finite[live].all():
-                raise NumericalBreakdown("Newton step is not finite")
-        stepped = np.flatnonzero(live & (decrement > threshold))
-        if stepped.size:  # else every member is centered
-            rows = slice(None) if stepped.size == ids.size else stepped
-            won, new_g, new_t, new_chol, new_phi = _line_search(
-                g[rows], t[rows], phi[rows], dg[rows], dt[rows], decrement[rows], mu[rows], start[rows]
-            )
-            stepped = stepped[won]
-        if stepped.size == ids.size:
-            g, t, phi = new_g, new_t, new_phi
-            system = _NewtonSystem(new_g, new_chol, new_t, ph)
-            stepped = slice(None)
-        elif stepped.size:
-            g[stepped], t[stepped], phi[stepped] = new_g, new_t, new_phi
-            system.put(stepped, _NewtonSystem(new_g, new_chol, new_t, ph))
-        used[stepped] += 1
-        inner[stepped] += 1
-        start[stepped] = 1.0
-
-        # A member is centered at its weight when it took no step (the
-        # decrement is small, the line search failed or the budget is spent)
-        # or has taken _INNER_CAP steps there.
-        centered = inner >= _INNER_CAP
-        if not isinstance(stepped, slice):
-            took = np.zeros(ids.size, dtype=bool)
-            took[stepped] = True
-            centered |= ~took
-        if not centered.any():
-            continue
+    while True:
+        slack = t[:, None] - _diagonal(g).real
+        mu = (_inner(g, z) + (slack * w).sum(axis=-1)) / (2 * n)
         done = np.zeros(ids.size, dtype=bool)
-        for k in np.flatnonzero(centered):
-            dual = mu[k] * _diagonal(system.m[k]).real
-            gap = certs[ids[k]].harvest(mu[k], g[k].copy(), dual)
+        for k in range(ids.size):
+            gap = certs[ids[k]].check(mu[k], g[k], w[k])
             if gap <= gap_tol:
                 outcome[ids[k]] = (used[k], "Optimal")
-            elif used[k] >= MAX_ITER or mu[k] < _MU_FLOOR:
+            elif used[k] >= MAX_ITER or not moved[k]:
                 outcome[ids[k]] = (used[k], "MaxIter")
             else:
-                # At a center, the Newton step toward the weight
-                # _MU_SHRINK * mu is 1 / _MU_SHRINK times the tangent step
-                # along the central path, so the next level's first step is
-                # that tangent predictor.
-                mu[k] *= _MU_SHRINK
-                start[k] = _MU_SHRINK
-                inner[k] = 0
-                threshold[k] = 1e-13 * max(1.0, abs(t[k])) * min(1.0, mu[k])
                 continue
             done[k] = True
         upper = np.array([c.upper for c in certs])
@@ -538,16 +470,61 @@ def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float) -> l
             done[k] = True
         if done.any():
             keep = ~done
-            ids, g, t, phi = ids[keep], g[keep], t[keep], phi[keep]
-            mu, threshold, start = mu[keep], threshold[keep], start[keep]
-            inner, used = inner[keep], used[keep]
-            system.keep(keep)
+            ids, used, g, t, z, w = ids[keep], used[keep], g[keep], t[keep], z[keep], w[keep]
+            slack, mu, chol_g, chol_z = slack[keep], mu[keep], chol_g[keep], chol_z[keep]
+        if not ids.size:
+            break
+
+        # The NT scaling point W = R R* with R = L_G V Sigma^-1/2, from the
+        # SVD L_Z* L_G = U Sigma V*; its inverse is K K*, K = L_Z U Sigma^-1/2,
+        # and G^-1 = K Sigma^-1 K*.
+        u, sv, vh = np.linalg.svd(_h(chol_z) @ chol_g)
+        root = 1.0 / np.sqrt(sv)[:, None, :]
+        r = chol_g @ (_h(vh) * root)
+        k_mat = chol_z @ (u * root)
+        n_mat = k_mat @ _h(k_mat)
+        system = _NewtonSystem(r @ _h(r), n_mat, z, slack, w, ph)
+        sides = np.concatenate([g, z]), np.concatenate([slack, w])
+
+        # Predictor: the affine-scaling direction, C = -Z, sized on a coarse
+        # ladder; it only sets the centering weight.
+        dg, dt, dz, dw = system.solve(None, -slack * w)
+        ds = dt[:, None] - _diagonal(dg).real
+        _check_finite(dg, dz, dw)
+        steps = _steps(sides[0], np.concatenate([dg, dz]), sides[1], np.concatenate([ds, dw]),
+                       _PREDICTOR_BACKTRACK)
+        a_p, a_d = steps[: ids.size, None], steps[ids.size :, None]
+        mu_aff = (_inner(g + a_p[..., None] * dg, z + a_d[..., None] * dz)
+                  + ((slack + a_p * ds) * (w + a_d * dw)).sum(axis=-1)) / (2 * n)
+        sigma_mu = np.minimum(1.0, mu_aff / mu) ** 3 * mu
+
+        # Corrector: C = sigma mu G^-1 - Z less Mehrotra's second-order term,
+        # which in the scaled space (G and Z both Sigma) is the symmetrized
+        # product of the predictor's scaled directions, divided by
+        # sigma_i + sigma_j.
+        prod = (_h(k_mat) @ dg @ k_mat) @ (_h(r) @ dz @ r)
+        second = (prod + _h(prod)) / (sv[:, :, None] + sv[:, None, :])
+        c = k_mat @ (sigma_mu[:, None, None] * _h(k_mat) / sv[:, :, None] - second @ _h(k_mat)) - z
+        dg, dt, dz, dw = system.solve(c, sigma_mu[:, None] - slack * w - ds * dw)
+        ds = dt[:, None] - _diagonal(dg).real
+        _check_finite(dg, dz, dw)
+        steps, new, new_v, chol = _steps(sides[0], np.concatenate([dg, dz]), sides[1],
+                                         np.concatenate([ds, dw]), _CORRECTOR_BACKTRACK,
+                                         np.concatenate([chol_g, chol_z]))
+        a_p = steps[: ids.size]
+        moved = steps > 0.0
+        moved = moved[: ids.size] | moved[ids.size :]
+        g, z = new[: ids.size], new[ids.size :]
+        chol_g, chol_z = chol[: ids.size], chol[ids.size :]
+        t = t + a_p * dt
+        w = new_v[ids.size :]
+        used += 1
 
     out = []
-    for cert, (steps, status) in zip(certs, outcome):
+    for cert, (iters, status) in zip(certs, outcome):
         if cert.blocks is None:  # pragma: no cover - initial point always verifies
             raise NumericalBreakdown("no feasible iterate was certified")
-        out.append((*cert.blocks, cert.upper, cert.lower, steps, status, cert.weights))
+        out.append((*cert.blocks, cert.upper, cert.lower, iters, status, cert.weights))
     return out
 
 

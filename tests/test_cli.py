@@ -527,6 +527,28 @@ def test_unknown_subcommand_exits_one(capsys):
     assert main(["frobnicate"]) == 1
 
 
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    path = _matrix_file(tmp_path, "sign.json", [[1.0, 1.0], [1.0, -1.0]])
+    code, first = _run_json(capsys, ["gamma2", path])
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    again, second = _run_json(capsys, ["gamma2", path])
+    assert code == again == 0
+    assert second["outputs"] == first["outputs"]
+    # A usage error after a good call still exits 1, and a good call after
+    # it still succeeds, all on the parser built before.
+    assert main(["gamma2"]) == 1
+    assert main(["gamma2", path]) == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["eig", "/nonexistent/matrix.json"]) == 1
 

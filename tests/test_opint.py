@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,58 @@ def test_huge_symbol_against_huge_and_tiny_arguments():
     terms = [[np.full(3, 1e-300), np.ones(3), np.ones(3)]]
     out = separable_apply([op] * 3, terms, [1e20 * np.eye(3), 1e-20 * np.eye(3)])
     np.testing.assert_allclose(out, 1e-300 * np.eye(3), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-271])
+def test_argument_at_the_float_limit_is_scaled_before_its_rotation(scale):
+    # The operators' eigenbasis is the 2x2 Hadamard matrix / sqrt(2), which
+    # takes X = 1.5e308 everywhere to 3e308 in one entry: each argument is
+    # scaled before its rotation, from its own largest modulus and the
+    # rotation's growth bound, so the representable result comes back.
+    # Against the 1e-271 grid, the chain never leaves the range: X is scaled
+    # down only because it would leave it on its own.
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    ops = [NormalOperator(matrix=hadamard @ np.diag(lam) @ hadamard,
+                          eigenvalues=np.asarray(lam, dtype=complex),
+                          eigenbasis=hadamard.astype(complex))
+           for lam in ([1.0, 2.0], [3.0, 5.0])]
+    grid = SymbolGrid(axes=(ops[0].eigenvalues, ops[1].eigenvalues),
+                      values=np.full((2, 2), scale, dtype=complex))
+    x = np.full((2, 2), 1.5e308, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = doi_apply(*ops, grid, x)
+    np.testing.assert_allclose(out, scale * x, rtol=1e-14, atol=0.0)
+
+
+def test_separable_apply_takes_one_exponent_per_slot(monkeypatch):
+    """One reduction per slot over every term, and one per argument, give
+    the shifts of the term-by-term exponents."""
+    rng = np.random.default_rng(12)
+    dims = (3, 2, 4)
+    ops = [random_normal_operator(rng, d) for d in dims]
+    args = [1e150 * random_complex(rng, (3, 2)), 1e-200 * random_complex(rng, (2, 4))]
+    terms = [[10.0 ** rng.integers(-40, 40) * random_complex(rng, d) for d in dims]
+             for _ in range(6)]
+    calls, seen = [], []
+    exponent, shifts = opint._exponent, opint._shifts
+
+    def counting_exponent(values):
+        calls.append(1)
+        return exponent(values)
+
+    def recording_shifts(level, steps):
+        steps = list(steps)
+        seen.append((level, steps))
+        return shifts(level, steps)
+
+    monkeypatch.setattr(opint, "_exponent", counting_exponent)
+    monkeypatch.setattr(opint, "_shifts", recording_shifts)
+    out = separable_apply(ops, terms, args)
+    assert len(calls) == len(dims) + len(args)
+    tops = [max(exponent(term[m]) for term in terms) for m in range(len(dims))]
+    assert seen == [(tops[0], [exponent(arg) + top for arg, top in zip(args, tops[1:])])]
+    assert np.all(np.isfinite(out))
 
 
 def test_chains_in_range_match_the_plain_contraction():

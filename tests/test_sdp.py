@@ -247,8 +247,8 @@ def test_max_iter_still_gives_upper_bound(monkeypatch):
 
 
 def test_wide_input_below_the_precision_floor():
-    # Without the tangent predictor this 4x16 input ran out of steps at a
-    # relative gap of 1.67e-7 after MAX_ITER steps; it now certifies in 86.
+    # A wide input on which a solver with a precision floor near a relative
+    # gap of 1e-7 runs out of iterations; this one certifies in 13.
     rng = np.random.default_rng(7)
     for shape in [(3, 12)] * 6 + [(12, 3)] * 6 + [(4, 16)]:
         rng.standard_normal(shape)
@@ -261,16 +261,32 @@ def test_wide_input_below_the_precision_floor():
 
 
 def test_step_budget():
-    """The tangent predictor saves at least 15% of the Newton steps on a
-    fixed set of inputs; the same solver starting every line search at the
-    full step took 899 steps on it (this one takes 670)."""
+    """The iterations on a fixed set of inputs stay within a budget; they
+    total about 93."""
     rng = np.random.default_rng(1)
     inputs = [rng.standard_normal((n, n)) for n in (4, 8, 12, 16)]
     inputs += [random_complex(rng, (n, n)) for n in (4, 6, 8)]
     inputs += [rng.standard_normal((6, 10)), np.tril(np.ones((16, 16)))]
     sols = [solve_gamma2_sdp(s) for s in inputs]
     assert all(sol.status == "Optimal" for sol in sols)
-    assert sum(sol.iterations for sol in sols) <= 0.85 * 899
+    assert sum(sol.iterations for sol in sols) <= 300
+
+
+def test_iterations_do_not_follow_rounding():
+    """Bounds are checked at every iterate, so the iteration count does not
+    jump with the rounding of the input: a method that checks them only now
+    and then spends a whole stage more on an input whose gap lands just
+    above the tolerance, and not on its perturbations."""
+    rng = np.random.default_rng(2)
+    inputs = [rng.standard_normal((8, 8)) for _ in range(4)]
+    inputs += [rng.standard_normal((10, 6)) for _ in range(4)]
+    for s in inputs:
+        counts = [solve_gamma2_sdp(s).iterations]
+        for _ in range(5):
+            sol = solve_gamma2_sdp(s * (1.0 + 1e-15 * rng.standard_normal(s.shape)))
+            assert sol.status == "Optimal"
+            counts.append(sol.iterations)
+        assert max(counts) - min(counts) <= 2
 
 
 def _step_rule_inputs():
@@ -280,8 +296,8 @@ def _step_rule_inputs():
 
 
 def test_cholesky_is_the_only_cone_test(monkeypatch):
-    """The line search sizes every step by backtracking on the barrier's
-    Cholesky, so the only eigenvalue solves in a solve are the primal
+    """Every step is sized by backtracking on Cholesky factorizations of the
+    trial points, so the only eigenvalue solves in a solve are the primal
     certificate checks."""
     calls = {"eigvalsh": 0, "primal": 0}
     eigvalsh, verified_primal = np.linalg.eigvalsh, sdp._verified_primal
@@ -345,8 +361,8 @@ def test_linear_algebra_failure_is_a_breakdown(monkeypatch, failing):
 
 
 def test_dual_certificate_reads_weight_vectors(monkeypatch):
-    # The harvest carries mu * diag(G^-1), one weight per row and column,
-    # not the dual matrix.
+    # The certificate check reads the dual weights w, one per row and
+    # column, not the dual matrix.
     seen = []
     bound = sdp._verified_dual_bound
 
@@ -506,24 +522,39 @@ def _hermitian_basis(n: int, offset: int, size: int, complex_field: bool) -> lis
     return elems
 
 
+def _hermitian_power(a: np.ndarray, power: float) -> np.ndarray:
+    lam, vec = np.linalg.eigh(a)
+    return (vec * lam**power) @ vec.conj().T
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 3), (2, 2), (3, 1), (3, 3), (4, 6)])
 def test_hessian_blocks_match_trace_formula(field, p, q):
-    """The block-elimination Newton step solves the dense Newton system.
+    """The block-elimination Nesterov-Todd step solves the dense Newton system.
 
-    The dense system is assembled over an orthonormal basis B_k of the
-    block-diagonal matrices from the trace formula Re tr(M B_k M B_l),
-    M = G^-1, plus the slack barrier on the diagonal entries and t, at a
-    random interior point.
+    At a random primal-dual point (G, s) and (Z, w), Z not dual feasible,
+    the NT scaling point W = G^1/2 (G^1/2 Z G^1/2)^-1/2 G^1/2 is formed by
+    eigendecompositions and N = W^-1.  The dense system is assembled over an
+    orthonormal basis B_k of the block-diagonal matrices from the trace
+    formula Re tr(N B_k N B_l), with the multipliers dw on the diagonal,
+    the dual residual Pi_bd(Z) - Diag(w) on the right, w o ds + s o dw = r_lp
+    with ds = dt - diag dG, and sum(dw) = 1 - sum(w).  dZ = C - N dG N.
     """
     complex_field = field == "complex"
     n = p + q
     rng = np.random.default_rng(10 * p + q)
-    z = random_complex(rng, (n, n)) if complex_field else rng.standard_normal((n, n))
-    g = z @ z.conj().T + 0.5 * np.eye(n)
-    t = float(np.max(np.diag(g).real)) + 0.7
-    m = np.linalg.inv(g)
-    slack = t - np.diag(g).real
+
+    def spd():
+        z = random_complex(rng, (n, n)) if complex_field else rng.standard_normal((n, n))
+        return z @ z.conj().T + 0.5 * np.eye(n)
+
+    g, z = spd(), spd()
+    slack = rng.uniform(0.2, 1.5, n)
+    w = rng.uniform(0.05, 0.5, n)
+    root = _hermitian_power(g, 0.5)
+    scaling = root @ _hermitian_power(root @ z @ root, -0.5) @ root
+    np.testing.assert_allclose(scaling @ z @ scaling, g, atol=1e-10 * np.abs(g).max())
+    n_mat = np.linalg.inv(scaling)
 
     basis = (_hermitian_basis(p, 0, n, complex_field)
              + _hermitian_basis(q, p, n, complex_field))
@@ -533,28 +564,34 @@ def test_hessian_blocks_match_trace_formula(field, p, q):
 
     k = len(basis)
     diags = np.array([np.diag(b).real for b in basis])  # (k, n)
-    hess = np.zeros((k + 1, k + 1))
-    hess[:k, :k] = [[np.trace(m @ a @ m @ b).real for b in basis] for a in basis]
-    hess[:k, :k] += diags @ np.diag(slack**-2) @ diags.T
-    hess[:k, k] = hess[k, :k] = -diags @ slack**-2
-    hess[k, k] = np.sum(slack**-2)
-    barrier_grad = np.append(diags @ (1.0 / slack) - [np.trace(m @ b).real for b in basis],
-                             -np.sum(1.0 / slack))
+    dense = np.zeros((k + 1 + n, k + 1 + n))  # unknowns: dG coefficients, dt, dw
+    dense[:k, :k] = [[np.trace(n_mat @ a @ n_mat @ b).real for b in basis] for a in basis]
+    dense[:k, k + 1:] = diags
+    dense[k:k + n, :k] = -w[:, None] * diags.T
+    dense[k:k + n, k] = w
+    dense[k:k + n, k + 1:] = np.diag(slack)
+    dense[k + n, k + 1:] = 1.0
 
-    # One factorization serves every barrier weight.
-    system = _NewtonSystem(g, np.linalg.cholesky(g), t, p)
-    np.testing.assert_allclose(system.m, m, rtol=0.0, atol=1e-12 * np.abs(m).max())
-    for mu in (0.3, 0.03):
-        grad = mu * barrier_grad  # of t + mu * (-logdet G - sum log slacks)
-        grad[k] += 1.0
-        step = np.linalg.solve(mu * hess, -grad)
-        dense_dg = np.tensordot(step[:k], np.array(basis), axes=1)
+    # One factorization serves the predictor and any corrector.
+    system = _NewtonSystem(scaling, n_mat, z, slack, w, p)
+    corrector = 0.3 * np.linalg.inv(g) - z
+    for c in (None, (corrector + corrector.conj().T) / 2.0):
+        r_lp = -slack * w if c is None else 0.2 - slack * w
+        c_full = -n_mat @ g @ n_mat if c is None else c
+        e = c_full + z - np.diag(w)
+        projected = [np.trace(b.conj().T @ e).real for b in basis]
+        rhs = np.concatenate([projected, r_lp, [1.0 - w.sum()]])
+        sol = np.linalg.solve(dense, rhs)
+        dense_dg = np.tensordot(sol[:k], np.array(basis), axes=1)
+        dense_dz = c_full - n_mat @ dense_dg @ n_mat
 
-        dg, dt, decrement = system.step(mu)
+        dg, dt, dz, dw = system.solve(c, r_lp)
         scale = np.abs(dense_dg).max()
         np.testing.assert_allclose(dg, dense_dg, rtol=0.0, atol=1e-10 * scale)
-        assert dt == pytest.approx(step[k], rel=1e-10)
-        assert decrement == pytest.approx(-grad @ step, rel=1e-10)
+        np.testing.assert_allclose(dz, dense_dz, rtol=0.0, atol=1e-10 * np.abs(dense_dz).max())
+        assert dt == pytest.approx(sol[k], rel=1e-10)
+        dense_dw = sol[k + 1:]
+        np.testing.assert_allclose(dw, dense_dw, rtol=0.0, atol=1e-10 * np.abs(dense_dw).max())
 
 
 @pytest.mark.parametrize(
