@@ -14,8 +14,14 @@ Three norms are computed for the transform attached to an order-3 symbol:
   for the lower side.
 
 The ascent works on the values divided by their largest modulus, so its
-results do not depend on the scale of the data.  Each restart sweeps until
-it settles and then leaves the batch, so it follows the same path alone as
+results do not depend on the scale of the data.  A real grid ascends in
+real arithmetic from the real parts of the complex draws, since for real
+values the supremum is attained at real arguments.  Every third sweep a
+restart whose gains shrink geometrically also tries a safeguarded jump
+along its last step, sized by the ratio of its last two gains; the jump is
+kept only when it raises the trace norm, so the objective never decreases.
+Each restart sweeps until it settles and then leaves the batch, and every
+decision reads only its own numbers, so it follows the same path alone as
 among others, and more restarts never lower the bound.  Lower bounds are
 always reported as lower bounds; upper certificates come from the
 semidefinite solver and are correct up to its duality gap.
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPsd, ShapeMismatch
+from .errors import BudgetExceeded, NotPsd, ShapeMismatch
 from .linalg import NormalOperator, as_matrix, divide_by_largest
 from .opint import check_grid_ops
 from .sdp import _solve_stack, solve_gamma2_sdp
@@ -39,6 +45,8 @@ DEFAULT_SEED = 0
 AGREEMENT_TOL = 1e-3
 
 _SWEEP_TOL = 1e-10
+_JUMP_EVERY = 3
+_ASCENT_BYTES = 1 << 30
 _ZERO_NORM = 1e-300
 
 
@@ -148,43 +156,75 @@ def _renormalize(batch: np.ndarray, old: np.ndarray):
     return out, norms, ok
 
 
+def _trilinear(values, xs, ys):
+    """T(X, Y) for each restart's pair: T_ij = sum_k values_ikj X_ik Y_kj."""
+    return np.einsum("ikj,rik,rkj->rij", values, xs, ys)
+
+
 def _ascent_trilinear(values: np.ndarray, xs: np.ndarray, ys: np.ndarray, max_iter: int):
     """Alternating ascent for the trace-norm output from the unit-norm starts
     ``xs``, ``ys`` (one per restart), returning the best restart.
 
     Works in the rotated bases (the value is basis independent) on
     ``values`` divided by their largest modulus, so the settle test and the
-    zero-update cutoff are relative; the value is multiplied back.  Each
-    sweep updates Z by the trace-norm polar step, then X and Y by
-    normalizing the linear representative of the objective; the objective
-    never decreases.  A restart leaves the batch after the first sweep that
-    gains at most ``_SWEEP_TOL`` relative, and later sweeps run on the
-    others only, so each restart follows the path it would follow alone.
+    zero-update cutoff are relative; the value is multiplied back.  It runs
+    in the field of that quotient and the starts: float64 when both are
+    real, complex128 otherwise.  Each sweep updates Z by the trace-norm
+    polar step, then X and Y by normalizing the linear representative of
+    the objective.  Every ``_JUMP_EVERY``-th sweep also tries to jump a
+    linear tail: a restart whose last two gains g_prev > g > 0 shrink at
+    the ratio rho = g / g_prev proposes X + beta (X - X_prev) with beta =
+    rho / (1 - rho), and Y alike, both normalized.  Its T goes through the
+    same polar call as the iterate's, and it replaces the iterate, with its
+    Z, only when its trace norm is strictly larger, so the objective never
+    decreases.  A restart leaves the batch after the first sweep that gains
+    at most ``_SWEEP_TOL`` relative, and later sweeps run on the others
+    only.  Every decision reads only the restart's own numbers, so each
+    restart follows the path it would follow alone.
     """
     top, values = divide_by_largest(values)
-    x_out, y_out = np.empty_like(xs), np.empty_like(ys)
+    field = np.result_type(values, xs, ys)
+    x_out, y_out = np.empty(xs.shape, field), np.empty(ys.shape, field)
     settled = np.zeros(xs.shape[0], dtype=bool)
     active = np.arange(xs.shape[0])
-    xa, ya, vals = xs, ys, np.zeros(xs.shape[0])
-    for _ in range(max_iter):
-        t = np.einsum("ikj,rik,rkj->rij", values, xa, ya)
-        z, _ = _polar_batch(t)
+    xa, ya = xs.astype(field, copy=False), ys.astype(field, copy=False)
+    x_prev, y_prev = xa, ya
+    vals, gains = np.zeros(xs.shape[0]), np.zeros((2, xs.shape[0]))
+    for sweep in range(1, max_iter + 1):
+        t = _trilinear(values, xa, ya)
+        g_prev, g = gains
+        jump = (g > 0.0) & (g < g_prev) & (sweep % _JUMP_EVERY == 0)
+        if jump.any():
+            rho = g[jump] / g_prev[jump]
+            beta = (rho / (1.0 - rho))[:, None, None]
+            xe, _, _ = _renormalize(xa[jump] + beta * (xa[jump] - x_prev[jump]), xa[jump])
+            ye, _, _ = _renormalize(ya[jump] + beta * (ya[jump] - y_prev[jump]), ya[jump])
+            both, traces = _polar_batch(np.concatenate([t, _trilinear(values, xe, ye)]))
+            n = active.size
+            wins = traces[n:] > traces[:n][jump]
+            where = np.flatnonzero(jump)[wins]
+            xa, ya, z = xa.copy(), ya.copy(), both[:n]
+            xa[where], ya[where], z[where] = xe[wins], ye[wins], both[n:][wins]
+        else:
+            z, _ = _polar_batch(t)
+        x_prev, y_prev = xa, ya
         wx = np.einsum("ikj,rkj,rji->rik", values, ya, z)
         xa, _, _ = _renormalize(wx.conj(), xa)
         wy = np.einsum("ikj,rik,rji->rkj", values, xa, z)
         ya, new_vals, ok = _renormalize(wy.conj(), ya)
         new_vals = np.where(ok, new_vals, vals)
+        gains = np.stack([gains[1], new_vals - vals])
         done = new_vals - vals <= _SWEEP_TOL * np.maximum(1.0, new_vals)
         vals = new_vals
         if done.any():
             x_out[active], y_out[active], settled[active] = xa, ya, done
             keep = ~done
             active, xa, ya, vals = active[keep], xa[keep], ya[keep], vals[keep]
+            x_prev, y_prev, gains = x_prev[keep], y_prev[keep], gains[:, keep]
             if not active.size:
                 break
     x_out[active], y_out[active] = xa, ya
-    t = np.einsum("ikj,rik,rkj->rij", values, x_out, y_out)
-    z, final_vals = _polar_batch(t)
+    z, final_vals = _polar_batch(_trilinear(values, x_out, y_out))
     best = int(np.argmax(final_vals))
     return (
         x_out[best],
@@ -208,10 +248,18 @@ def s1_bilinear_norm_lower(
 
     Maximizes |tr(transform(X, Y) Z)| over unit Hilbert-Schmidt X, Y and
     operator-norm contractions Z by block-coordinate ascent from
-    ``restarts`` complex Gaussian starts, drawn from one generator seeded
-    with ``seed``; restart r takes the r-th block of draws, so it does not
-    depend on how many follow.  The value is always a valid lower bound;
-    pair it with :func:`trilinear_factor_norm` for the upper side.
+    ``restarts`` Gaussian starts, drawn from one generator seeded with
+    ``seed``; restart r takes the r-th block of draws, so it does not
+    depend on how many follow.  A complex grid starts from complex draws
+    (the block's two halves as real and imaginary parts) and a real grid
+    from the real parts alone, so that its ascent runs in real arithmetic:
+    for real values the supremum is attained at real arguments.  Requests
+    whose per-restart arrays would exceed ``_ASCENT_BYTES`` raise
+    :class:`BudgetExceeded` before anything is drawn; a restart is counted
+    as 16 complex copies of its X, Y and T, ``256 * (n1 n2 + n2 n3 + n1 n3)``
+    bytes.  The value is always
+    a valid lower bound; pair it with :func:`trilinear_factor_norm` for the
+    upper side.
     """
     check_grid_ops(phi, (op_a, op_b, op_c))
     if restarts < 1:
@@ -219,8 +267,14 @@ def s1_bilinear_norm_lower(
     if max_iter < 1:
         raise ValueError(f"need at least one sweep, got {max_iter}")
     da, db, dc = phi.shape
+    if restarts * 256 * (da * db + db * dc + da * dc) > _ASCENT_BYTES:
+        raise BudgetExceeded(
+            f"{restarts} restarts on a {da}x{db}x{dc} grid exceed the ascent's "
+            f"budget of {_ASCENT_BYTES} bytes"
+        )
     draws = np.random.default_rng(seed).standard_normal((restarts, 2, da * db + db * dc))
-    starts = draws[:, 0] + 1j * draws[:, 1]
+    real = not np.any(np.imag(phi.values))
+    starts = draws[:, 0] if real else draws[:, 0] + 1j * draws[:, 1]
     xs = starts[:, : da * db].reshape(restarts, da, db)
     ys = starts[:, da * db :].reshape(restarts, db, dc)
     xs /= np.linalg.norm(xs, axis=(1, 2), keepdims=True)

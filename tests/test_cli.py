@@ -239,6 +239,24 @@ def test_norm_s1_is_deterministic(tmp_path, capsys):
     assert doc_a["seed"] == 5
 
 
+def test_oversized_restart_counts_exit_one_before_drawing(tmp_path, capsys, monkeypatch):
+    # 10**12 restarts would need about 10**14 bytes of starts; the ascent's
+    # budget check refuses them before its generator is built.
+    op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2, 2])
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew starts before the budget check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    argv = ["norm-s1", "--op-a", op_paths[0], "--op-b", op_paths[1],
+            "--op-c", op_paths[2], "--grid", grid_path, "--restarts", str(10**12)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("opintlab: error: 1000000000000 restarts on a 2x2x2 grid")
+    assert "budget" in captured.err
+
+
 def test_gamma2_golden_and_diagnostics(tmp_path, capsys):
     path = _matrix_file(tmp_path, "s.json", np.eye(4))
     code, doc = _run_json(capsys, ["gamma2", path])

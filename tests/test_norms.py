@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opintlab import norms, sdp
+from opintlab.errors import BudgetExceeded
 from opintlab import (
     NormalOperator,
     SymbolGrid,
@@ -90,26 +91,49 @@ def test_lower_witness_certifies_value():
 
 
 def test_lower_bound_more_restarts_never_worse():
-    ops, grid = _instance((2, 2, 2), seed=5, complex_entries=False)
-    few = s1_bilinear_norm_lower(*ops, grid, restarts=1, seed=3)
-    many = s1_bilinear_norm_lower(*ops, grid, restarts=16, seed=3)
-    assert many.value >= few.value
-    assert many.restarts_used == 16
+    for complex_entries in (False, True):
+        ops, grid = _instance((2, 2, 2), seed=5, complex_entries=complex_entries)
+        few = s1_bilinear_norm_lower(*ops, grid, restarts=1, seed=3)
+        many = s1_bilinear_norm_lower(*ops, grid, restarts=16, seed=3)
+        assert many.value >= few.value
+        assert many.restarts_used == 16
 
 
-def _unit_starts(dims, restarts, seed):
+def _unit_starts(dims, restarts, seed, field="complex"):
     rng = np.random.default_rng(seed)
     da, db, dc = dims
     xs = rng.standard_normal((restarts, da, db)) + 1j * rng.standard_normal((restarts, da, db))
     ys = rng.standard_normal((restarts, db, dc)) + 1j * rng.standard_normal((restarts, db, dc))
+    if field == "real":
+        xs, ys = xs.real, ys.real
     xs /= np.linalg.norm(xs, axis=(1, 2), keepdims=True)
     ys /= np.linalg.norm(ys, axis=(1, 2), keepdims=True)
     return xs, ys
 
 
-def test_restarts_do_not_depend_on_the_batch():
-    _, grid = _instance((3, 2, 3), seed=8)
-    xs, ys = _unit_starts(grid.shape, 16, seed=9)
+def _grid_and_starts(field):
+    """A 3x2x3 grid and 16 unit starts, both real or both complex."""
+    _, grid = _instance((3, 2, 3), seed=8, complex_entries=field == "complex")
+    return grid, *_unit_starts(grid.shape, 16, seed=9, field=field)
+
+
+def _recording_polar(monkeypatch):
+    """Wrap ``_polar_batch``; returns the list of (dtype, trace norms) per call."""
+    polar = norms._polar_batch
+    calls = []
+
+    def recording(t):
+        z, traces = polar(t)
+        calls.append((t.dtype, traces.copy()))
+        return z, traces
+
+    monkeypatch.setattr(norms, "_polar_batch", recording)
+    return calls
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_restarts_do_not_depend_on_the_batch(field):
+    grid, xs, ys = _grid_and_starts(field)
     batch = norms._ascent_trilinear(grid.values, xs, ys, 500)
     alone = [
         norms._ascent_trilinear(grid.values, xs[r : r + 1], ys[r : r + 1], 500)
@@ -121,25 +145,92 @@ def test_restarts_do_not_depend_on_the_batch():
     assert batch[4] == best[4]
 
 
-def test_settled_restarts_leave_the_batch(monkeypatch):
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_settled_restarts_leave_the_batch(monkeypatch, field):
     # Each restart sweeps until it settles, then only the final polar step
     # sees it again: the batch does the work of its restarts run alone.
-    _, grid = _instance((3, 2, 3), seed=8)
-    xs, ys = _unit_starts(grid.shape, 16, seed=9)
-    polar = norms._polar_batch
-    seen = []
-
-    def counting_polar(t):
-        seen.append(t.shape[0])
-        return polar(t)
-
-    monkeypatch.setattr(norms, "_polar_batch", counting_polar)
+    grid, xs, ys = _grid_and_starts(field)
+    calls = _recording_polar(monkeypatch)
     norms._ascent_trilinear(grid.values, xs, ys, 500)
-    batch_total = sum(seen)
-    seen.clear()
+    batch_total = sum(tr.size for _, tr in calls)
+    calls.clear()
     for r in range(16):
         norms._ascent_trilinear(grid.values, xs[r : r + 1], ys[r : r + 1], 500)
-    assert batch_total == sum(seen)
+    assert batch_total == sum(tr.size for _, tr in calls)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_ascent_runs_in_the_field_of_the_grid(monkeypatch, complex_entries):
+    calls = _recording_polar(monkeypatch)
+    ops, grid = _instance((3, 2, 4), seed=12, complex_entries=complex_entries)
+    assert np.asarray(grid.values).dtype == np.complex128
+    s1_bilinear_norm_lower(*ops, grid, restarts=8, seed=1)
+    assert calls
+    want = np.complex128 if complex_entries else np.float64
+    assert {dtype for dtype, _ in calls} == {np.dtype(want)}
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_starts_are_the_seeded_complex_draws_or_their_real_parts(monkeypatch, complex_entries):
+    # Restart r takes the r-th block of one generator's draws: a complex
+    # grid its two halves as real and imaginary parts, a real grid the
+    # first half, the real part of that complex start.
+    ops, grid = _instance((2, 3, 4), seed=13, complex_entries=complex_entries)
+    got = {}
+
+    def capture(values, xs, ys, max_iter):
+        got["xs"], got["ys"] = xs, ys
+        return xs[0], ys[0], np.zeros((4, 2)), 0.0, True
+
+    monkeypatch.setattr(norms, "_ascent_trilinear", capture)
+    s1_bilinear_norm_lower(*ops, grid, restarts=5, seed=21)
+    draws = np.random.default_rng(21).standard_normal((5, 2, 2 * 3 + 3 * 4))
+    starts = draws[:, 0] + 1j * draws[:, 1]
+    if not complex_entries:
+        starts = starts.real
+    xs, ys = starts[:, :6].reshape(5, 2, 3), starts[:, 6:].reshape(5, 3, 4)
+    assert got["xs"].dtype == xs.dtype and got["ys"].dtype == ys.dtype
+    np.testing.assert_array_equal(got["xs"], xs / np.linalg.norm(xs, axis=(1, 2), keepdims=True))
+    np.testing.assert_array_equal(got["ys"], ys / np.linalg.norm(ys, axis=(1, 2), keepdims=True))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_one_restart_never_loses_ground_over_500_sweeps(monkeypatch, field):
+    # A smooth symbol whose restarts end in slow linear tails, so that
+    # candidates are tried and taken.  The settle test is switched off, so
+    # the restart runs all 500 sweeps.  Each polar call holds the iterate's
+    # T, then the candidate's when one is tried; the value reached at a
+    # call is the larger, and the next call's iterate starts at or above
+    # it.  Trace norms are rounded sums, so a few units in the last place
+    # are allowed.
+    rng = np.random.default_rng(3)
+    axes = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
+    values = _trig_symbol(rng, axes)
+    if field == "complex":
+        values = values * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, values.shape))
+    xs, ys = _unit_starts(values.shape, 1, seed=3, field=field)
+    calls = _recording_polar(monkeypatch)
+    monkeypatch.setattr(norms, "_SWEEP_TOL", -1.0)
+    norms._ascent_trilinear(values, xs, ys, 500)
+    assert len(calls) == 501
+    traces = [tr for _, tr in calls]
+    for before, after in zip(traces, traces[1:]):
+        assert after[0] >= before.max() * (1.0 - 1e-14)
+    tried = [tr for tr in traces if tr.size == 2]
+    assert len(tried) >= 10
+    assert sum(tr[1] > tr[0] for tr in tried) >= 10
+
+
+def test_lower_bound_rejects_oversized_restart_counts(monkeypatch):
+    # 10**12 restarts would need about 10**14 bytes of draws: the request is
+    # refused before the generator is built or anything is allocated.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew starts before the budget check")
+
+    ops, grid = _instance((2, 2, 2), seed=7)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(BudgetExceeded, match="budget"):
+        s1_bilinear_norm_lower(*ops, grid, restarts=10**12)
 
 
 def test_lower_bound_is_seed_deterministic():
@@ -410,6 +501,42 @@ def test_doi_sandwich_closes_on_trig_symbols():
         est = doi_s1_norm(op_a, op_b, SymbolGrid(axes=axes, values=_trig_symbol(rng, axes)))
         assert est.converged
         assert est.upper_certificate - est.value <= 1e-7 * est.upper_certificate
+
+
+def _smooth_real_instances():
+    """Real trigonometric symbols on random complex spectra, the recipe of
+    the benchmark's norm-s1 inputs: four each of shapes 4x4x4, 3x5x4 and
+    6x6x6, with diagonal operators on those spectra."""
+    for dims in ((4, 4, 4), (3, 5, 4), (6, 6, 6)):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, *dims])
+            axes = tuple(rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in dims)
+            ops = [NormalOperator.from_eigensystem(axis) for axis in axes]
+            yield seed, ops, SymbolGrid(axes=axes, values=_trig_symbol(rng, axes))
+
+
+def test_ascent_work_budget(monkeypatch):
+    # The polar steps are most of the ascent's time.  Complex sweeps from
+    # complex starts, without jumps, took 135,099 of them on this set; real
+    # sweeps with the jump every third sweep take 61,562.  The budget is
+    # half the former.
+    calls = _recording_polar(monkeypatch)
+    for seed, ops, grid in _smooth_real_instances():
+        s1_bilinear_norm_lower(*ops, grid, restarts=64, seed=seed)
+    assert sum(tr.size for _, tr in calls) <= 135_099 // 2
+
+
+def test_ascent_meets_the_slice_bound_on_random_grids():
+    # Sides 2 to 6, real and complex entries: the ascent's lower bound
+    # reaches the slices' certified upper bound to 1e-6 relative.
+    draw = np.random.default_rng(29)
+    for trial in range(30):
+        dims = tuple(int(d) for d in draw.integers(2, 7, size=3))
+        ops, grid = _instance(dims, seed=trial, complex_entries=trial % 2 == 1)
+        lower = s1_bilinear_norm_lower(*ops, grid, seed=trial).value
+        upper = trilinear_factor_norm(grid)[0].value
+        assert lower <= upper * (1.0 + 1e-9)
+        assert lower >= upper * (1.0 - 1e-6)
 
 
 # ---------------------------------------------------------------------------

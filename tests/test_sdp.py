@@ -411,11 +411,12 @@ def _same_solution(a, b):
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_a_member_is_solved_alone_and_in_any_stack_alike(field, scale):
-    # Each member keeps its own weight, line search, centers and budget, and
-    # every stacked call works on each member alone: a member that is not
-    # pruned is bit-identical alone, in a stack, in another order, or with a
-    # zero matrix that takes the zero path beside it.  The members are scaled
-    # to nearly the same norm, so that few of them can be pruned.
+    # Each member keeps its own primal-dual iterates, step lengths, budget
+    # and certificates, and every stacked call works on each member alone: a
+    # member that is not pruned is bit-identical alone, in a stack, in
+    # another order, or with a zero matrix that takes the zero path beside
+    # it.  The members are scaled to nearly the same norm, so that few of
+    # them can be pruned.
     rng = np.random.default_rng(41)
     mats = [rng.standard_normal((3, 4)) for _ in range(5)]
     if field == "complex":
