@@ -26,6 +26,7 @@ import sys
 import time
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .errors import BudgetExceeded, NotNormal, OpintError, ParseError
@@ -457,10 +458,12 @@ def _read_inputs(args) -> dict:
     bytes by report label (repeated flags get _0, _1, ...).
 
     All files are read, in declaration order, before any is parsed.  The
-    same bytes are then decoded as strict UTF-8 and parsed by name: ``op*``
-    to certified spectral data, ``grid`` to a symbol grid, anything else to
-    a matrix; an error raised there keeps its type and names the file.
-    Each parsed object replaces its path on ``args``.
+    same bytes then go straight to orjson, which rejects invalid UTF-8, a
+    byte-order mark, ``NaN``/``Infinity``, numbers beyond the double range
+    and too deep nesting as invalid JSON.  The documents are parsed by
+    name: ``op*`` to certified spectral data, ``grid`` to a symbol grid,
+    anything else to a matrix; an error raised there keeps its type and
+    names the file.  Each parsed object replaces its path on ``args``.
     """
     blobs = []
     for spec in args.files:
@@ -477,8 +480,8 @@ def _read_inputs(args) -> dict:
     parsed = {}
     for dest, _, path, data in blobs:
         try:
-            obj = json.loads(data.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
+            obj = orjson.loads(data)
+        except orjson.JSONDecodeError as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
         try:
             if dest.startswith("op"):

@@ -210,8 +210,20 @@ def matrix_to_json(matrix) -> dict:
     }
 
 
+def _json_floats(value) -> np.ndarray:
+    """A JSON list of numbers as a float64 array; ValueError unless numpy
+    infers an integer or float dtype for it, so "1.5" is not read as 1.5."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected numbers, got {arr.dtype} entries")
+    return arr.astype(np.float64, copy=False)
+
+
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the matrix wire format; both "re" and "im" are mandatory."""
+    """Parse the matrix wire format; both "re" and "im" are mandatory.
+
+    Every entry must be a JSON number: a string such as "1.5" is rejected,
+    while booleans mixed among numbers still coerce to 1.0 and 0.0."""
     if not isinstance(obj, dict):
         raise ParseError("matrix JSON must be an object")
     for key in ("rows", "cols", "re", "im"):
@@ -221,8 +233,8 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
         raise ParseError("matrix JSON needs positive integer 'rows' and 'cols'")
     try:
-        re = np.array(obj["re"], dtype=np.float64)
-        im = np.array(obj["im"], dtype=np.float64)
+        re = _json_floats(obj["re"])
+        im = _json_floats(obj["im"])
     except (TypeError, ValueError) as exc:
         raise ParseError("matrix JSON parts must be rectangular numeric lists") from exc
     if re.shape != (rows, cols) or im.shape != (rows, cols):

@@ -9,11 +9,13 @@ at (axes[0][i1], ..., axes[n-1][in]).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadPosition, EvaluationFailure, ParseError, ShapeMismatch
+from .linalg import _json_floats
 
 _POSITIONS = ("left", "right", "outer")
 
@@ -170,7 +172,11 @@ def grid_to_json(grid: SymbolGrid) -> dict:
 
 
 def grid_from_json(obj) -> SymbolGrid:
-    """Parse the grid wire format produced by :func:`grid_to_json`."""
+    """Parse the grid wire format produced by :func:`grid_to_json`.
+
+    Every axis and value entry must be a JSON number, and every ``shape``
+    entry an integer: a string such as "1.5" is rejected, while booleans
+    mixed among numbers still coerce to 1.0 and 0.0."""
     if not isinstance(obj, dict):
         raise ParseError("grid JSON must be an object")
     for key in ("order", "axes_re", "axes_im", "shape", "values_re", "values_im"):
@@ -180,11 +186,11 @@ def grid_from_json(obj) -> SymbolGrid:
     if not isinstance(order, int) or order < 1:
         raise ParseError("grid JSON needs a positive integer 'order'")
     try:
-        shape = tuple(int(s) for s in obj["shape"])
-        axes_re = [np.array(a, dtype=np.float64) for a in obj["axes_re"]]
-        axes_im = [np.array(a, dtype=np.float64) for a in obj["axes_im"]]
-        vals_re = np.array(obj["values_re"], dtype=np.float64)
-        vals_im = np.array(obj["values_im"], dtype=np.float64)
+        shape = tuple(operator.index(s) for s in obj["shape"])
+        axes_re = [_json_floats(a) for a in obj["axes_re"]]
+        axes_im = [_json_floats(a) for a in obj["axes_im"]]
+        vals_re = _json_floats(obj["values_re"])
+        vals_im = _json_floats(obj["values_im"])
     except (TypeError, ValueError) as exc:
         raise ParseError("grid JSON fields must be numeric lists") from exc
     if len(shape) != order or len(axes_re) != order or len(axes_im) != order:

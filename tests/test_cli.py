@@ -7,6 +7,7 @@ input problems, 2 a numerical check that ran but failed.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -628,19 +629,45 @@ def test_rejected_arguments_exit_one(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
 
 
+_NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+
+
+def _grid_with_token(token):
+    """A 2-by-2 grid file's text with one value written as ``token``."""
+    doc = grid_to_json(SymbolGrid(axes=(np.arange(2.0), np.arange(2.0)),
+                                  values=np.ones((2, 2))))
+    doc["values_re"] = "@"
+    return json.dumps(doc).replace('"@"', f"[1.0, {token}, 1.0, 1.0]")
+
+
 @pytest.mark.parametrize(
-    "payload",
-    [b"[" * 200000, b'{"rows": 1, "cols": 1, "re": [[1]], "im": [[0]], "note": "\xff"}',
-     b"\xef\xbb\xbf" + json.dumps(matrix_to_json(np.eye(1))).encode()],
-    ids=["nested", "invalid-utf8", "bom"],
+    "kind, payload",
+    [("matrix", b"[" * 200000),
+     ("matrix", b'{"rows": 1, "cols": 1, "re": [[1]], "im": [[0]], "note": "\xff"}'),
+     ("matrix", b"\xef\xbb\xbf" + json.dumps(matrix_to_json(np.eye(1))).encode()),
+     ("matrix", b'{"rows": 1, "cols": 1, "re": [[1]], "im": [[0]], "note": "\\ud800"}')]
+    + [("matrix", f'{{"rows": 1, "cols": 1, "re": [[{token}]], "im": [[0]]}}'.encode())
+       for token in _NON_FINITE]
+    + [("grid", _grid_with_token(token).encode()) for token in _NON_FINITE],
+    ids=["nested", "invalid-utf8", "bom", "lone-surrogate"]
+    + [f"{kind}-{token}" for kind in ("matrix", "grid") for token in _NON_FINITE],
 )
-def test_undecodable_input_is_a_parse_error(tmp_path, capsys, payload):
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, kind, payload):
+    # Non-finite and out-of-range literals are not JSON numbers, so they fail
+    # the parse itself, before the finiteness checks of the wire formats.
     path = tmp_path / "bad.json"
     path.write_bytes(payload)
-    assert main(["eig", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"opintlab: error: {path} is not valid JSON")
-    assert "Traceback" not in err
+    if kind == "matrix":
+        argv = ["eig", str(path)]
+    else:
+        ops = [_matrix_file(tmp_path, f"op{k}.json", np.diag([0.0, 1.0])) for k in range(2)]
+        x = _matrix_file(tmp_path, "x.json", np.eye(2))
+        argv = ["doi", "--op-a", ops[0], "--op-b", ops[1], "--grid", str(path), "--x", x]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"opintlab: error: {path} is not valid JSON")
+    assert "Traceback" not in captured.err
 
 
 def test_semantic_input_error_names_its_file(tmp_path, capsys):
@@ -668,6 +695,47 @@ def test_missing_file_reported_before_malformed_one(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["doi", "--op-a", bad, "--op-b", bad, "--grid", bad, "--x", missing]) == 1
     assert capsys.readouterr().err.startswith(f"opintlab: error: cannot read {missing}")
+
+
+# Literals whose rounding is easy to get wrong: halfway cases and long
+# expansions, the smallest normal and subnormal doubles, the largest double,
+# exponent spellings, a signed zero, and integers up to and past 2**64.
+_HARD_LITERALS = [
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203125000000000000000001",
+    "1.00000000000000011102230246251565404236316680908203124999999999999999999",
+    "9007199254740993", "9007199254740993.0", "0." + "3" * 800, "1" * 300 + "e-300",
+    "123456789012345678901234567890e-30", "7.2057594037927933e16",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308",
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "1.7976931348623157e308", "1.7976931348623158e308", "-1.7976931348623157e308",
+    "1E5", "1e+05", "1e-05", "100000E-5", "-0.0", "-0", "0e0", "-0E-0",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "18446744073709551615", "18446744073709551616",
+    "18446744073709551617", "-18446744073709551617", "36893488147419103233",
+    "123456789012345678901234567890123456789",
+]
+
+
+def test_input_parse_is_exact(tmp_path):
+    # The CLI's parse gives the same doubles, bit for bit, as the stdlib
+    # json module converted by numpy, on random doubles of every exponent
+    # in shortest repr and on the literals above.  They go in as a grid's
+    # values, which reach the grid with their bits (signed zeros too).
+    bits = np.random.default_rng(2026).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    literals = [repr(float(v)) for v in doubles[np.isfinite(doubles)]] + _HARD_LITERALS
+    n = len(literals)
+    text = (f'{{"order": 1, "axes_re": [{list(range(n))}], "axes_im": [{[0] * n}], '
+            f'"shape": [{n}], "values_re": [{", ".join(literals)}], "values_im": {[0] * n}}}')
+    path = tmp_path / "corpus.json"
+    path.write_text(text)
+    args = argparse.Namespace(files=("--grid",), grid=str(path))
+    cli._read_inputs(args)
+    expected = np.array(json.loads(text)["values_re"], dtype=np.float64)
+    np.testing.assert_array_equal(args.grid.values.real.view(np.uint64),
+                                  expected.view(np.uint64))
+    assert not np.any(args.grid.values.imag)
 
 
 @pytest.mark.parametrize("command", ["toi", "moi"])

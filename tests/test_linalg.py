@@ -204,6 +204,9 @@ def test_matrix_json_real_payload():
         {"rows": 1, "cols": 1, "re": [[float("nan")]], "im": [[0.0]]},  # non-finite
         {"rows": 2, "cols": 1, "re": [[1.0]], "im": [[0.0]]},  # shape lie
         "not a mapping",
+        {"rows": 2, "cols": 2, "re": [["1.5", "0"], [0, 0]], "im": [[0, 0], [0, 0]]},
+        {"rows": 1, "cols": 2, "re": [[1.0, 2.0]], "im": [[0.0, "0"]]},  # one string
+        {"rows": 1, "cols": 1, "re": [[True]], "im": [[False]]},  # booleans alone
     ],
 )
 def test_matrix_json_rejects_malformed(doc):

@@ -215,6 +215,10 @@ def test_grid_json_layout_is_row_major():
         lambda d: d.update(order=3),
         lambda d: d.update(values_re=d["values_re"][:-1]),
         lambda d: d.update(values_re=[float("inf")] * len(d["values_re"])),
+        lambda d: d.update(values_re=[str(v) for v in d["values_re"]]),
+        lambda d: d["values_im"].__setitem__(2, "0.0"),
+        lambda d: d["axes_re"].__setitem__(1, ["0", "1", "2"]),
+        lambda d: d.update(shape=["2", "3"]),
     ],
 )
 def test_grid_json_rejects_malformed(mutate):
