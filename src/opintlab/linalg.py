@@ -223,14 +223,16 @@ def matrix_from_json(obj) -> np.ndarray:
     """Parse the matrix wire format; both "re" and "im" are mandatory.
 
     Every entry must be a JSON number: a string such as "1.5" is rejected,
-    while booleans mixed among numbers still coerce to 1.0 and 0.0."""
+    while booleans mixed among numbers still coerce to 1.0 and 0.0.  The
+    sizes must be integers, not booleans.  Each entry keeps its bits, signed
+    zeros included."""
     if not isinstance(obj, dict):
         raise ParseError("matrix JSON must be an object")
     for key in ("rows", "cols", "re", "im"):
         if key not in obj:
             raise ParseError(f"matrix JSON is missing required key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
         raise ParseError("matrix JSON needs positive integer 'rows' and 'cols'")
     try:
         re = _json_floats(obj["re"])
@@ -244,4 +246,4 @@ def matrix_from_json(obj) -> np.ndarray:
         )
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise ParseError("matrix JSON entries must be finite")
-    return re + 1j * im
+    return np.stack((re, im), axis=-1).view(np.complex128).reshape(rows, cols)

@@ -48,7 +48,9 @@ normalized block by block, gives a lower bound that one SVD evaluates.  Each
 iterate is also extrapolated linearly with the previous one toward mu = 0,
 and that candidate passes through the same checks.  The reported duality
 gap is then a true bound on the distance to the optimum, no matter how the
-iterates were found.
+iterates were found.  The certificates of the whole stack are checked in
+stacked calls: one eigenvalue and one SVD call for all the iterates, and
+another pair for all the extrapolations.
 """
 
 from __future__ import annotations
@@ -108,13 +110,6 @@ class SdpSolution:
     iterations: int
     status: str
     dual_weights: tuple
-
-
-def _gram(s: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    ph = s.shape[0]
-    g = np.empty((ph + s.shape[1],) * 2, dtype=np.result_type(s, p, q))
-    g[:ph, :ph], g[:ph, ph:], g[ph:, :ph], g[ph:, ph:] = p, s, s.conj().T, q
-    return g
 
 
 def _h(x: np.ndarray) -> np.ndarray:
@@ -249,89 +244,68 @@ class _NewtonSystem:
 
 
 def _verified_dual_bound(s: np.ndarray, w: np.ndarray):
-    """True lower bound on the optimum from approximate dual weights, and
-    the weights behind it.
+    """True lower bounds on the optima of a (m, p, q) stack from approximate
+    dual weights, and the weights behind them.
 
     The optimum is the largest ||D_sqrt(a) S D_sqrt(b)||_1 over probability
-    vectors a and b, so any nonnegative weights give a lower bound.  ``w``
-    (p row weights, then q column weights), clipped at zero and divided
-    block by block by its sum, is evaluated with one SVD, less
-    ``_EIG_GUARD`` times the largest singular value for roundoff.  An
-    unusable candidate gives (-inf, None).
+    vectors a and b, so any nonnegative weights give a lower bound.  Each
+    row of ``w`` (p row weights, then q column weights), clipped at zero and
+    divided block by block by its sum, is evaluated with one stacked SVD,
+    less ``_EIG_GUARD`` times the largest singular value for roundoff.  An
+    unusable row gives the bound -inf.
     """
-    if not np.all(np.isfinite(w)):
-        return -np.inf, None
-    a, b = np.split(np.maximum(w, 0.0), [s.shape[0]])
-    if a.sum() <= 0.0 or b.sum() <= 0.0:
-        return -np.inf, None
-    a, b = a / a.sum(), b / b.sum()
-    sv = np.linalg.svd(np.sqrt(a)[:, None] * s * np.sqrt(b)[None, :], compute_uv=False)
-    return float(sv.sum() - _EIG_GUARD * sv[0]), (a, b)
+    ph = s.shape[1]
+    bound, weights = np.full(len(w), -np.inf), np.maximum(w, 0.0)
+    a, b = weights[:, :ph], weights[:, ph:]
+    usable = np.isfinite(w).all(axis=-1) & (a.sum(axis=-1) > 0.0) & (b.sum(axis=-1) > 0.0)
+    if usable.any():
+        a, b = a[usable], b[usable]
+        a, b = a / a.sum(axis=-1, keepdims=True), b / b.sum(axis=-1, keepdims=True)
+        weights[usable] = np.concatenate([a, b], axis=-1)
+        sv = np.linalg.svd(np.sqrt(a)[:, :, None] * s[usable] * np.sqrt(b)[:, None, :],
+                           compute_uv=False)
+        bound[usable] = sv.sum(axis=-1) - _EIG_GUARD * sv[:, 0]
+    return bound, weights
 
 
-def _verified_primal(s: np.ndarray, p: np.ndarray, q: np.ndarray):
-    """Feasible primal blocks from approximate ones, with a certified value.
+def _verified_primal(g: np.ndarray):
+    """Feasible points from a stack of finite Hermitian candidates G with
+    the data in their corner, and their certified values.
 
     A ridge large enough to cover the measured negative spectrum plus
-    eigenvalue roundoff is added to both diagonal blocks, and the objective
-    is the largest resulting diagonal entry, so the returned triple is a
-    genuine feasible point and its value a true upper bound.
+    eigenvalue roundoff is added to the diagonal, and the value is the
+    largest resulting diagonal entry, so each point is genuinely feasible
+    and its value a true upper bound.
     """
-    ph, qh = s.shape
-    g = _gram(s, p, q)
-    g = (g + g.conj().T) / 2.0
-    if not np.all(np.isfinite(g)):
-        return None
     evals = np.linalg.eigvalsh(g)
-    scale = max(abs(float(evals[0])), abs(float(evals[-1])), 1e-300)
-    delta = max(0.0, -float(evals[0])) + _EIG_GUARD * scale
-    pp = g[:ph, :ph] + delta * np.eye(ph)
-    qq = g[ph:, ph:] + delta * np.eye(qh)
-    t = float(max(np.max(np.diag(pp).real), np.max(np.diag(qq).real)))
-    return pp, qq, t
+    scale = np.maximum(np.maximum(np.abs(evals[:, 0]), np.abs(evals[:, -1])), 1e-300)
+    delta = np.maximum(0.0, -evals[:, 0]) + _EIG_GUARD * scale
+    g = g + delta[:, None, None] * np.eye(g.shape[-1])
+    return g, _diagonal(g).real.max(axis=-1)
 
 
-class _Certificates:
-    """One problem's best verified bounds, and the previous iterate."""
-
-    def __init__(self, s: np.ndarray):
-        ph, qh = s.shape
-        self.s = s
-        self.upper = np.inf
-        self.blocks = None
-        self.lower = -np.inf
-        self.weights = (np.full(ph, 1.0 / ph), np.full(qh, 1.0 / qh))
-        self.previous = None  # (mu, G, w)
-
-    def check(self, mu: float, g: np.ndarray, w: np.ndarray) -> float:
-        """Take certificates from the iterate (G, w) at the complementarity
-        ``mu`` and from its extrapolation with the previous iterate toward
-        mu = 0, and return the certified gap.
-
-        Iterates near the central path are first-order in mu, so the linear
-        extrapolation cancels the leading term; it passes through the same
-        checks, so a poor one only wastes the attempt.
-        """
-        s, ph = self.s, self.s.shape[0]
-        candidates = [(g, w)]
-        if self.previous is not None and mu < self.previous[0]:
-            ratio = mu / self.previous[0]
-            candidates.append(tuple((cur - ratio * prev) / (1.0 - ratio)
-                                    for cur, prev in zip((g, w), self.previous[1:])))
-        self.previous = (mu, g.copy(), w.copy())
-        for cand_g, cand_w in candidates:
-            # A verified value is the largest diagonal entry plus a ridge, so
-            # a candidate whose diagonal already reaches the upper bound
-            # cannot win.
-            if np.max(_diagonal(cand_g).real) < self.upper:
-                verified = _verified_primal(s, cand_g[:ph, :ph], cand_g[ph:, ph:])
-                if verified is not None and verified[2] < self.upper:
-                    self.blocks = verified[:2]
-                    self.upper = verified[2]
-            lower, weights = _verified_dual_bound(s, cand_w)
-            if lower > self.lower:
-                self.lower, self.weights = lower, weights
-        return max(0.0, self.upper - self.lower)
+def _harvest(s, ids, g, w, best, upper, lower, weights) -> None:
+    """Take certificates from candidates (G, w), one for each of the
+    problems ``ids`` of ``s``, into the problems' best verified points
+    ``best``, their values ``upper``, the best lower bounds ``lower`` and
+    their dual ``weights``, in place.  A verified value is the largest
+    diagonal entry plus a ridge, so a candidate whose diagonal already
+    reaches its problem's upper bound cannot win and is not checked.
+    """
+    ph = s.shape[1]
+    rows = np.flatnonzero(_diagonal(g).real.max(axis=-1) < upper[ids])
+    g, data = g[rows], s[ids[rows]]
+    g[:, :ph, ph:], g[:, ph:, :ph] = data, _h(data)
+    g = (g + _h(g)) / 2.0
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    rows = ids[rows[finite]]
+    if rows.size:
+        points, values = _verified_primal(g[finite])
+        win = values < upper[rows]
+        best[rows[win]], upper[rows[win]] = points[win], values[win]
+    bound, found = _verified_dual_bound(s[ids], w)
+    win = bound > lower[ids]
+    lower[ids[win]], weights[ids[win]] = bound[win], found[win]
 
 
 def _cholesky(x: np.ndarray):
@@ -413,7 +387,7 @@ def _dominated(upper: np.ndarray, lower: np.ndarray, scales: np.ndarray, floor: 
     return np.isfinite(highs) & (highs <= others)
 
 
-def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float) -> list:
+def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float):
     """Primal-dual path-following on a (B, p, q) stack of programs in the
     field of ``s``.
 
@@ -425,9 +399,15 @@ def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float) -> l
     lower bound times that one's scale ("Dominated"): it cannot have the
     largest norm.  A stack of one with ``floor`` = -inf is never pruned.
 
-    Returns, per member, the best verified primal blocks, their value, the
-    best lower bound, the iteration count (at most ``MAX_ITER``), the
-    status and the dual weights (a, b) of the lower bound.
+    Every iterate's certificates are checked for the whole stack at once,
+    in at most two stacked rounds of one eigenvalue and one SVD call each:
+    first the iterates, then the extrapolations toward mu = 0 of the members
+    whose mu fell, against the upper bounds the first round set.
+
+    Returns arrays indexed by problem: the best verified primal points
+    (Gram matrices), their values, the best lower bounds, the iteration
+    counts (at most ``MAX_ITER``), the statuses and the dual weights (p row
+    weights, then q column weights) of the lower bounds.
     """
     nb, ph, qh = s.shape
     n = ph + qh
@@ -442,38 +422,51 @@ def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float) -> l
     w = np.full((nb, n), 1.0 / n)
     chol_g, chol_z = np.linalg.cholesky(g), np.linalg.cholesky(z)
 
-    # The state of the stack members, the problems ``ids``; a member's
-    # entries are removed once it leaves.
+    # Each problem's certificates and outcome.
+    best = np.empty_like(g)
+    upper, lower = np.full(nb, np.inf), np.full(nb, -np.inf)
+    weights = np.empty((nb, n))
+    weights[:, :ph], weights[:, ph:] = 1.0 / ph, 1.0 / qh
+    iterations, status = np.zeros(nb, dtype=int), np.empty(nb, dtype="<U9")
+
+    # The state of the stack members, the problems ``ids``, with the previous
+    # iterate (none at first: no mu falls below NaN); a member's entries are
+    # removed once it leaves.
     ids = np.arange(nb)
     used = np.zeros(nb, dtype=int)
     moved = np.ones(nb, dtype=bool)
-    certs = [_Certificates(member) for member in s]
-    outcome = [None] * nb  # (iterations, status) of each problem
+    prev_mu, prev_g, prev_w = np.full(nb, np.nan), g, w
 
     while True:
         slack = t[:, None] - _diagonal(g).real
         mu = (_inner(g, z) + (slack * w).sum(axis=-1)) / (2 * n)
-        done = np.zeros(ids.size, dtype=bool)
-        for k in range(ids.size):
-            gap = certs[ids[k]].check(mu[k], g[k], w[k])
-            if gap <= gap_tol:
-                outcome[ids[k]] = (used[k], "Optimal")
-            elif used[k] >= MAX_ITER or not moved[k]:
-                outcome[ids[k]] = (used[k], "MaxIter")
-            else:
-                continue
-            done[k] = True
-        upper = np.array([c.upper for c in certs])
-        lower = np.array([c.lower for c in certs])
-        for k in np.flatnonzero(_dominated(upper, lower, scales, floor)[ids] & ~done):
-            outcome[ids[k]] = (used[k], "Dominated")
-            done[k] = True
+        _harvest(s, ids, g, w, best, upper, lower, weights)
+        # Iterates near the central path are first-order in mu, so the linear
+        # extrapolation with the previous iterate cancels the leading term; it
+        # passes through the same checks, so a poor one only wastes the attempt.
+        fell = np.flatnonzero(mu < prev_mu)
+        if fell.size:
+            ratio = (mu[fell] / prev_mu[fell])[:, None, None]
+            _harvest(s, ids[fell], (g[fell] - ratio * prev_g[fell]) / (1.0 - ratio),
+                     (w[fell] - ratio[:, 0] * prev_w[fell]) / (1.0 - ratio[:, 0]),
+                     best, upper, lower, weights)
+        optimal = upper[ids] - lower[ids] <= gap_tol
+        stuck = (used >= MAX_ITER) | ~moved
+        dominated = _dominated(upper, lower, scales, floor)[ids]
+        done = optimal | stuck | dominated
         if done.any():
+            # Later verdicts overwrite earlier ones: Optimal comes before
+            # MaxIter, and MaxIter before Dominated.
+            status[ids[dominated]] = "Dominated"
+            status[ids[stuck]] = "MaxIter"
+            status[ids[optimal]] = "Optimal"
+            iterations[ids[done]] = used[done]
             keep = ~done
-            ids, used, g, t, z, w = ids[keep], used[keep], g[keep], t[keep], z[keep], w[keep]
-            slack, mu, chol_g, chol_z = slack[keep], mu[keep], chol_g[keep], chol_z[keep]
+            ids, used, g, t, z, w, slack, mu, chol_g, chol_z = (
+                x[keep] for x in (ids, used, g, t, z, w, slack, mu, chol_g, chol_z))
         if not ids.size:
             break
+        prev_mu, prev_g, prev_w = mu, g, w
 
         # The NT scaling point W = R R* with R = L_G V Sigma^-1/2, from the
         # SVD L_Z* L_G = U Sigma V*; its inverse is K K*, K = L_Z U Sigma^-1/2,
@@ -520,12 +513,9 @@ def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float) -> l
         w = new_v[ids.size :]
         used += 1
 
-    out = []
-    for cert, (iters, status) in zip(certs, outcome):
-        if cert.blocks is None:  # pragma: no cover - initial point always verifies
-            raise NumericalBreakdown("no feasible iterate was certified")
-        out.append((*cert.blocks, cert.upper, cert.lower, iters, status, cert.weights))
-    return out
+    if np.isinf(upper).any():  # pragma: no cover - initial point always verifies
+        raise NumericalBreakdown("no feasible iterate was certified")
+    return best, upper, lower, iterations, status, weights
 
 
 def _solve_stack(mats, gap_tol: float = GAP_TOL) -> list:
@@ -561,19 +551,22 @@ def _solve_stack(mats, gap_tol: float = GAP_TOL) -> list:
     for members in fields.values():
         ks, tops, data = zip(*members)
         try:
-            solved = _solve(np.stack(data), gap_tol, np.array(tops), floor)
+            best, upper, lower, iterations, status, weights = _solve(
+                np.stack(data), gap_tol, np.array(tops), floor)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown(f"linear algebra failed in the solver: {exc}") from None
-        for k, top, (p, q, value, lower, iters, status, weights) in zip(ks, tops, solved):
+        for i, (k, top) in enumerate(zip(ks, tops)):
+            gram = (top * best[i]).astype(np.complex128, copy=False)
+            gram[:p_dim, p_dim:], gram[p_dim:, :p_dim] = mats[k], _h(mats[k])
             sols[k] = SdpSolution(
-                value=float(top * value),
-                gram=_gram(mats[k], top * p, top * q),
-                duality_gap=float(top * max(0.0, value - lower)),
-                iterations=int(iters),
-                status=status,
-                dual_weights=weights,
+                value=float(top * upper[i]),
+                gram=gram,
+                duality_gap=float(top * max(0.0, upper[i] - lower[i])),
+                iterations=int(iterations[i]),
+                status=str(status[i]),
+                dual_weights=(weights[i, :p_dim], weights[i, p_dim:]),
             )
-            floor = max(floor, top * lower)
+            floor = max(floor, top * lower[i])
     return sols
 
 

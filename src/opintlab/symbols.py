@@ -9,7 +9,6 @@ at (axes[0][i1], ..., axes[n-1][in]).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,19 +173,22 @@ def grid_to_json(grid: SymbolGrid) -> dict:
 def grid_from_json(obj) -> SymbolGrid:
     """Parse the grid wire format produced by :func:`grid_to_json`.
 
-    Every axis and value entry must be a JSON number, and every ``shape``
-    entry an integer: a string such as "1.5" is rejected, while booleans
-    mixed among numbers still coerce to 1.0 and 0.0."""
+    Every axis and value entry must be a JSON number, and ``order`` and
+    every ``shape`` entry an integer, not a boolean: a string such as "1.5"
+    is rejected, while booleans mixed among numbers still coerce to 1.0 and
+    0.0."""
     if not isinstance(obj, dict):
         raise ParseError("grid JSON must be an object")
     for key in ("order", "axes_re", "axes_im", "shape", "values_re", "values_im"):
         if key not in obj:
             raise ParseError(f"grid JSON is missing required key {key!r}")
     order = obj["order"]
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ParseError("grid JSON needs a positive integer 'order'")
     try:
-        shape = tuple(operator.index(s) for s in obj["shape"])
+        shape = tuple(obj["shape"])
+        if any(type(s) is not int for s in shape):
+            raise TypeError("'shape' entries must be integers")
         axes_re = [_json_floats(a) for a in obj["axes_re"]]
         axes_im = [_json_floats(a) for a in obj["axes_im"]]
         vals_re = _json_floats(obj["values_re"])

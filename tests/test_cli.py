@@ -721,7 +721,8 @@ def test_input_parse_is_exact(tmp_path):
     # The CLI's parse gives the same doubles, bit for bit, as the stdlib
     # json module converted by numpy, on random doubles of every exponent
     # in shortest repr and on the literals above.  They go in as a grid's
-    # values, which reach the grid with their bits (signed zeros too).
+    # values and as both parts of a matrix, which reach the grid and the
+    # matrix with their bits (signed zeros too).
     bits = np.random.default_rng(2026).integers(0, 2**64, size=200_000, dtype=np.uint64)
     doubles = bits.view(np.float64)
     literals = [repr(float(v)) for v in doubles[np.isfinite(doubles)]] + _HARD_LITERALS
@@ -730,12 +731,16 @@ def test_input_parse_is_exact(tmp_path):
             f'"shape": [{n}], "values_re": [{", ".join(literals)}], "values_im": {[0] * n}}}')
     path = tmp_path / "corpus.json"
     path.write_text(text)
-    args = argparse.Namespace(files=("--grid",), grid=str(path))
+    row = f"[[{', '.join(literals)}]]"
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(f'{{"rows": 1, "cols": {n}, "re": {row}, "im": {row}}}')
+    args = argparse.Namespace(files=("--grid", "--x"), grid=str(path), x=str(matrix_path))
     cli._read_inputs(args)
-    expected = np.array(json.loads(text)["values_re"], dtype=np.float64)
-    np.testing.assert_array_equal(args.grid.values.real.view(np.uint64),
-                                  expected.view(np.uint64))
+    expected = np.array(json.loads(text)["values_re"], dtype=np.float64).view(np.uint64)
+    np.testing.assert_array_equal(args.grid.values.real.view(np.uint64), expected)
     assert not np.any(args.grid.values.imag)
+    for part in (args.x.real, args.x.imag):
+        np.testing.assert_array_equal(np.ascontiguousarray(part[0]).view(np.uint64), expected)
 
 
 @pytest.mark.parametrize("command", ["toi", "moi"])

@@ -207,6 +207,8 @@ def test_matrix_json_real_payload():
         {"rows": 2, "cols": 2, "re": [["1.5", "0"], [0, 0]], "im": [[0, 0], [0, 0]]},
         {"rows": 1, "cols": 2, "re": [[1.0, 2.0]], "im": [[0.0, "0"]]},  # one string
         {"rows": 1, "cols": 1, "re": [[True]], "im": [[False]]},  # booleans alone
+        {"rows": True, "cols": 1, "re": [[1.0]], "im": [[0.0]]},  # boolean size
+        {"rows": 1, "cols": True, "re": [[1.0]], "im": [[0.0]]},
     ],
 )
 def test_matrix_json_rejects_malformed(doc):

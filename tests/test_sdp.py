@@ -324,10 +324,10 @@ def test_harvest_skips_primal_candidates_that_cannot_win(monkeypatch):
     verified_primal = sdp._verified_primal
     checked = []
 
-    def recording_primal(s, p, q):
-        out = verified_primal(s, p, q)
-        top = max(np.max(np.diag(p).real), np.max(np.diag(q).real))
-        checked.append((top, np.inf if out is None else out[2]))
+    def recording_primal(g):
+        out = verified_primal(g)
+        for cand, value in zip(g, out[1]):
+            checked.append((np.max(np.diag(cand).real), value))
         return out
 
     monkeypatch.setattr(sdp, "_verified_primal", recording_primal)
@@ -339,6 +339,36 @@ def test_harvest_skips_primal_candidates_that_cannot_win(monkeypatch):
             assert top < best
             best = min(best, value)
         assert len(checked) > 1
+
+
+def test_certificates_of_a_stack_take_two_rounds_an_iteration(monkeypatch):
+    # Each iteration checks the whole stack's iterates in one round and their
+    # extrapolations in another, each with one eigenvalue call and one dual
+    # bound SVD, however many members the stack has.
+    eigvalsh, svd, newton = np.linalg.eigvalsh, np.linalg.svd, sdp._NewtonSystem
+    # Per iteration, (eigvalsh, SVD without vectors) calls; each Newton system
+    # opens the next iteration, and the initial norm's SVD is not counted.
+    calls = [[0, -1]]
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls[-1][0] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_svd(a, *args, compute_uv=True, **kwargs):
+        calls[-1][1] += not compute_uv
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    def counting_newton(*args):
+        calls.append([0, 0])
+        return newton(*args)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(sdp, "_NewtonSystem", counting_newton)
+    rng = np.random.default_rng(45)
+    sdp._solve_stack([rng.standard_normal((4, 5)) for _ in range(8)])
+    assert calls[0] == [1, 1] and len(calls) > 2
+    assert all(e <= 2 and v <= 2 for e, v in calls)
 
 
 @pytest.mark.parametrize("failing", ["norm", "newton", "dual-bound"])
@@ -367,7 +397,7 @@ def test_dual_certificate_reads_weight_vectors(monkeypatch):
     bound = sdp._verified_dual_bound
 
     def recording_bound(s, w):
-        seen.append(np.shape(w))
+        seen.extend(np.shape(row) for row in w)
         return bound(s, w)
 
     monkeypatch.setattr(sdp, "_verified_dual_bound", recording_bound)

@@ -207,6 +207,10 @@ def test_grid_json_layout_is_row_major():
     assert list(doc["values_re"]) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+# Every field of a one-point order-1 grid but its order and shape.
+_ONE_POINT = dict(axes_re=[[0.0]], axes_im=[[0.0]], values_re=[1.0], values_im=[0.0])
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -219,6 +223,8 @@ def test_grid_json_layout_is_row_major():
         lambda d: d["values_im"].__setitem__(2, "0.0"),
         lambda d: d["axes_re"].__setitem__(1, ["0", "1", "2"]),
         lambda d: d.update(shape=["2", "3"]),
+        lambda d: d.update(_ONE_POINT, order=True, shape=[1]),  # boolean sizes
+        lambda d: d.update(_ONE_POINT, order=1, shape=[True]),
     ],
 )
 def test_grid_json_rejects_malformed(mutate):
