@@ -60,11 +60,17 @@ _VERIFY_DIM_CAP = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit status 1."""
+    """argparse with usage errors exiting 1, in the form of every other error."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"opintlab: error: {message}\n{self.format_usage()}")
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _relative(residual, reference) -> float:
@@ -521,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, required=True)
         p.add_argument("--out", help="write the report to this path instead of stdout")
         if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
         if restarts:
             p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
             p.add_argument("--max-iter", type=int, default=DEFAULT_SWEEPS)

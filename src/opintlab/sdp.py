@@ -21,10 +21,11 @@ sigma mu on the central path with the second-order terms of both cones.  No
 dense Hessian is formed: the Newton system is solved by block elimination,
 inverting Pi_bd(N dG N), N = W^-1, in closed form on the two diagonal blocks
 and the slacks through a bordered (p+q+1)-square system, in O((p+q)^2 q^2)
-work; it is factored once per iteration and solved twice.  Each step is
-0.95 of the largest step on a backtracking ladder whose trial points pass
-the ratio test on s and w and have a Cholesky factor (of G + a dG and of
-Z + a dZ), so that Cholesky is the method's only cone test.
+work; it is factored once per iteration and solved twice.  Each step
+starts at 0.95 of the full step, or of the ratio-test bound on s and w if
+shorter, and backtracks until its trial point has a Cholesky factor (of
+G + a dG and of Z + a dZ), which is then the point taken: Cholesky is the
+method's only cone test, and each trial point is factored once.
 The data is first divided by its largest entry, which the norm scales with,
 so the duality-gap tolerance is relative to max_ij |S_ij|.
 
@@ -66,10 +67,10 @@ GAP_TOL = 1e-7
 MAX_ITER = 300
 MAX_SIDE = 256
 
-# Each step is _STEP of the largest one on a backtracking ladder whose trial
-# points pass the cone test; the ladder shrinks by a factor 0.5 for the
-# predictor, which only sets the centering weight, and 0.9 for the
-# corrector, and a member that finds no step in _TRIES trials takes none.
+# Each step starts at _STEP of the full or the ratio-test step and backtracks
+# by a factor 0.5 for the predictor, which only sets the centering weight,
+# and 0.9 for the corrector, until its trial point passes the cone test; a
+# member that finds no step in _TRIES trials takes none.
 _STEP = 0.95
 _PREDICTOR_BACKTRACK = 0.5
 _CORRECTOR_BACKTRACK = 0.9
@@ -322,43 +323,33 @@ def _cholesky(x: np.ndarray):
         return np.concatenate([c for c, _ in parts]), np.concatenate([ok for _, ok in parts])
 
 
-def _steps(x, dx, v, dv, backtrack: float, factors=None):
-    """Step lengths for a stack of cone points: matrices ``x`` that must stay
-    positive definite and vectors ``v`` that must stay positive.
+def _steps(x, dx, v, dv, backtrack: float, factors):
+    """Steps for a stack of cone points: matrices ``x`` that must stay
+    positive definite, with their Cholesky ``factors``, and vectors ``v``
+    that must stay positive.
 
-    The ratio test bounds each step on ``v``; then the step backtracks by
-    the factor ``backtrack`` from there (or from 1 / ``_STEP``) until
-    ``x + size dx`` has a Cholesky factor, and ``_STEP`` of it is taken.
-    Given the Cholesky ``factors`` of ``x``, the points taken are factored
-    too, backtracking further if rounding leaves one without a factor, and
-    the steps come back with the new matrices, vectors and factors.
+    Each step starts at ``_STEP`` of 1 or of the ratio-test bound on ``v``,
+    whichever is smaller.  Each rung factors the trial points
+    ``x + step dx`` of the open members in one call; a member whose trial
+    has a factor takes that point and factor, and the others backtrack by
+    the factor ``backtrack``.  A member with no factor after ``_TRIES`` rungs
+    takes step 0 and keeps its point and factor.  Returns the steps and the
+    new matrices, vectors and factors.
     """
     with np.errstate(divide="ignore"):
         ratio = np.where(dv < 0.0, v / -dv, np.inf).min(axis=-1)
-    size = np.minimum(ratio, 1.0 / _STEP)
+    step = _STEP * np.minimum(ratio, 1.0)
+    new_x, chol = x.copy(), factors.copy()
     rows = np.arange(len(x))
     for _ in range(_TRIES):
-        _, ok = _cholesky(x[rows] + size[rows, None, None] * dx[rows])
+        trial = x[rows] + step[rows, None, None] * dx[rows]
+        factor, ok = _cholesky(trial)
+        new_x[rows[ok]], chol[rows[ok]] = trial[ok], factor[ok]
         rows = rows[~ok]
-        if not rows.size:
-            break
-        size[rows] *= backtrack
-    size[rows] = 0.0
-    step = _STEP * size
-    if factors is None:
-        return step
-    new_x = x + step[:, None, None] * dx
-    chol, ok = _cholesky(new_x)
-    rows = np.flatnonzero(~ok)
-    for _ in range(_TRIES):
         if not rows.size:
             break
         step[rows] *= backtrack
-        new_x[rows] = x[rows] + step[rows, None, None] * dx[rows]
-        chol[rows], ok = _cholesky(new_x[rows])
-        rows = rows[~ok]
     step[rows] = 0.0
-    new_x[rows], chol[rows] = x[rows], factors[rows]
     return step, new_x, v + step[:, None] * dv, chol
 
 
@@ -478,17 +469,17 @@ def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float):
         n_mat = k_mat @ _h(k_mat)
         system = _NewtonSystem(r @ _h(r), n_mat, z, slack, w, ph)
         sides = np.concatenate([g, z]), np.concatenate([slack, w])
+        factors = np.concatenate([chol_g, chol_z])
 
         # Predictor: the affine-scaling direction, C = -Z, sized on a coarse
         # ladder; it only sets the centering weight.
         dg, dt, dz, dw = system.solve(None, -slack * w)
         ds = dt[:, None] - _diagonal(dg).real
         _check_finite(dg, dz, dw)
-        steps = _steps(sides[0], np.concatenate([dg, dz]), sides[1], np.concatenate([ds, dw]),
-                       _PREDICTOR_BACKTRACK)
-        a_p, a_d = steps[: ids.size, None], steps[ids.size :, None]
-        mu_aff = (_inner(g + a_p[..., None] * dg, z + a_d[..., None] * dz)
-                  + ((slack + a_p * ds) * (w + a_d * dw)).sum(axis=-1)) / (2 * n)
+        _, new, new_v, _ = _steps(sides[0], np.concatenate([dg, dz]), sides[1],
+                                  np.concatenate([ds, dw]), _PREDICTOR_BACKTRACK, factors)
+        mu_aff = (_inner(new[: ids.size], new[ids.size :])
+                  + (new_v[: ids.size] * new_v[ids.size :]).sum(axis=-1)) / (2 * n)
         sigma_mu = np.minimum(1.0, mu_aff / mu) ** 3 * mu
 
         # Corrector: C = sigma mu G^-1 - Z less Mehrotra's second-order term,
@@ -502,8 +493,7 @@ def _solve(s: np.ndarray, gap_tol: float, scales: np.ndarray, floor: float):
         ds = dt[:, None] - _diagonal(dg).real
         _check_finite(dg, dz, dw)
         steps, new, new_v, chol = _steps(sides[0], np.concatenate([dg, dz]), sides[1],
-                                         np.concatenate([ds, dw]), _CORRECTOR_BACKTRACK,
-                                         np.concatenate([chol_g, chol_z]))
+                                         np.concatenate([ds, dw]), _CORRECTOR_BACKTRACK, factors)
         a_p = steps[: ids.size]
         moved = steps > 0.0
         moved = moved[: ids.size] | moved[ids.size :]

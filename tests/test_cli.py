@@ -426,6 +426,20 @@ def test_peller_bounds_do_not_depend_on_seed(tmp_path, capsys):
             assert out[key] == first[key]
 
 
+def test_negative_seed_is_rejected_before_the_solve(tmp_path, capsys, monkeypatch):
+    # --seed only draws the reduction check's inputs, after the solve, so a
+    # bad one must fail when the arguments are parsed.
+    op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2])
+    solved = []
+    monkeypatch.setattr(cli, "doi_s1_norm", lambda *args, **kwargs: solved.append(args))
+    argv = ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1], "--grid", grid_path]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert solved == []
+    err = capsys.readouterr().err
+    assert err.startswith("opintlab: error: ")
+    assert "--seed" in err
+
+
 def test_peller_rejects_ascent_flags(tmp_path, capsys):
     op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2])
     argv = ["peller", "--op-a", op_paths[0], "--op-b", op_paths[1], "--grid", grid_path]
@@ -607,10 +621,16 @@ def test_csv_rejected_outside_verify_main(tmp_path, capsys):
         ["verify-main", "--dims", "2,2,2", "--trials", "1", "--max-iter", "0"],
         ["verify-main", "--dims", "2,2,2", "--trials", "1", "--max-iter", "-3"],
         ["eig", "NESTED"],
+        ["norm-s1", "--op-a", "OP3_A", "--op-b", "OP3_B", "--op-c", "OP3_C", "--grid", "GRID3",
+         "--seed", "-3"],
+        ["verify-main", "--dims", "2,2,2", "--trials", "1", "--seed", "-3"],
+        ["examples", "ex1", "--seed", "-3"],
+        ["peller", "--op-a", "OP_A", "--op-b", "OP_B", "--grid", "GRID", "--seed", "-3"],
     ],
     ids=["ex1-n0", "ex2-n0", "gamma2-nan", "gamma2-inf", "verify-neg", "verify-nan",
          "eig-nan", "eig-inf", "eig-neg", "norm-s1-sweeps0",
-         "norm-s1-sweeps-neg", "verify-sweeps0", "verify-sweeps-neg", "eig-nested"],
+         "norm-s1-sweeps-neg", "verify-sweeps0", "verify-sweeps-neg", "eig-nested",
+         "norm-s1-seed-neg", "verify-seed-neg", "examples-seed-neg", "peller-seed-neg"],
 )
 def test_rejected_arguments_exit_one(tmp_path, capsys, argv):
     op_paths, grid_path, _, _ = _normal_ops_and_grid(tmp_path, [2, 2])
